@@ -36,21 +36,31 @@ class StepReport:
         return f"StepReport({body})"
 
 
-def _diag_vector(lumped):
+def diag_vector(lumped):
+    """Diagonal of a lumped mass given as a sparse matrix or a vector."""
     if sp.issparse(lumped):
         return np.asarray(lumped.diagonal(), dtype=float)
     return np.asarray(lumped, dtype=float)
 
 
+def dot(a, b):
+    """Inner product of two vectors by numpy's own reduction.
+
+    A 1-D ``@`` goes to BLAS, whose summation order follows its thread
+    count; this order does not, so the diagnostics are bit-reproducible.
+    """
+    return float(np.add.reduce(a * b))
+
+
 def mass(x, lumped):
     """Total mass of a nodal field: sum of D_ii x_i (= its exact integral)."""
-    return float(_diag_vector(lumped) @ np.asarray(x, dtype=float))
+    return dot(diag_vector(lumped), np.asarray(x, dtype=float))
 
 
 def energy_electrostatic(phi, stiffness):
     """Electrostatic energy: half the squared gradient norm of the potential."""
     phi = np.asarray(phi, dtype=float)
-    return float(0.5 * phi @ (stiffness @ phi))
+    return 0.5 * dot(phi, stiffness @ phi)
 
 
 def entropy_Eh(p, n, phi, lumped, stiffness, fns):
@@ -64,8 +74,8 @@ def entropy_Eh(p, n, phi, lumped, stiffness, fns):
     n = np.asarray(n, dtype=float)
     if np.any(p < 0) or np.any(n < 0):
         raise ValueError("entropy requires nonnegative densities")
-    d = _diag_vector(lumped)
-    return float(d @ (fns.g0(p) + fns.g0(n))) + energy_electrostatic(phi, stiffness)
+    d = diag_vector(lumped)
+    return dot(d, fns.g0(p) + fns.g0(n)) + energy_electrostatic(phi, stiffness)
 
 
 def dissipation_Dh(rho, phi, stiffness, fns, mesh):
@@ -87,7 +97,7 @@ def dissipation_Dh(rho, phi, stiffness, fns, mesh):
     drho = rj - ri
     dlog = np.log(rj) - np.log(ri)
     dphi = phi[ej] - phi[ei]
-    kij = np.asarray(stiffness[ei, ej]).ravel()
+    kij = mesh.edge_entries(stiffness)
     # pairs whose log difference underflows behave as equal-valued pairs
     distinct = (drho != 0.0) & (dlog != 0.0)
     s = np.where(distinct, dlog, 1.0) / np.where(distinct, drho, 1.0)
@@ -96,7 +106,7 @@ def dissipation_Dh(rho, phi, stiffness, fns, mesh):
     rs = np.sqrt(np.abs(s))
     sq = (rs * drho - dphi / rs) ** 2
     contrib = np.where(distinct, sq, ri * dphi**2)
-    return float(-(contrib @ kij))
+    return -dot(contrib, kij)
 
 
 def extrema(x):

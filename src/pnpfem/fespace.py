@@ -1,8 +1,9 @@
 """P1 finite element machinery: matrix assembly, interpolation, quadrature.
 
 Fields are plain 1D numpy arrays with one value per mesh node; matrices are
-scipy CSR.  All element integrals here are exact for the polynomial degrees
-involved (the closed-form local matrices of linear elements).
+scipy CSR on the mesh's P1 pattern.  All element integrals here are exact
+for the polynomial degrees involved (the closed-form local matrices of
+linear elements).
 """
 
 import numpy as np
@@ -32,34 +33,11 @@ TRI_QUAD_WEIGHTS = np.array(
 )
 
 
-def element_gradients(mesh):
-    """Constant gradients of the three hat functions on every element.
-
-    Returns an (M, 3, 2) array: grads[e, a] is the gradient of the hat
-    function of local vertex a on element e.
-    """
-    tri = mesh.elements
-    p = mesh.nodes
-    p0, p1, p2 = p[tri[:, 0]], p[tri[:, 1]], p[tri[:, 2]]
-    two_a = 2.0 * mesh.areas
-    grads = np.empty((mesh.num_elements, 3, 2))
-    # grad lambda_a = rot90(opposite edge) / (2 A), edges taken CCW
-    for a, (q, r) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
-        e = r - q
-        grads[:, a, 0] = -e[:, 1] / two_a
-        grads[:, a, 1] = e[:, 0] / two_a
-    return grads
-
-
 def _accumulate(mesh, local):
-    """Sum (M, 3, 3) local matrices into a global CSR matrix."""
-    tri = mesh.elements
-    n = mesh.num_nodes
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(n, n)
-    ).tocsr()
+    """Sum (M, 3, 3) local matrices into a CSR matrix on the P1 pattern."""
+    data = np.bincount(mesh.element_slots.ravel(), weights=local.ravel(),
+                       minlength=mesh.pattern_nnz)
+    return mesh.csr(data)
 
 
 def assemble_mass(mesh):
@@ -86,7 +64,7 @@ def lumped_mass_vector(mesh):
 
 def assemble_stiffness(mesh):
     """Stiffness matrix K_ij = (grad phi_j, grad phi_i); K 1 = 0."""
-    g = element_gradients(mesh)
+    g = mesh.gradients
     local = np.einsum("eax,ebx->eab", g, g) * mesh.areas[:, None, None]
     return _accumulate(mesh, local)
 
@@ -98,7 +76,7 @@ def assemble_drift(mesh, phi):
     integral is A/3, so the integration is exact.
     """
     phi = np.asarray(phi, dtype=float)
-    g = element_gradients(mesh)
+    g = mesh.gradients
     gphi = np.einsum("ea,eax->ex", phi[mesh.elements], g)
     # row = test function a, identical for the three trial columns
     row_val = np.einsum("ex,eax->ea", gphi, g) * (mesh.areas[:, None] / 3.0)
@@ -149,8 +127,3 @@ def averaged_interpolate(f, mesh):
         q = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
         vals += w * np.asarray(f(q[:, 0], q[:, 1]), dtype=float)
     return vals
-
-
-def mesh_pair_entries(matrix, mesh):
-    """Entries of a CSR matrix at the directed neighbor pairs of a mesh."""
-    return np.asarray(matrix[mesh.pair_i, mesh.pair_j]).ravel()

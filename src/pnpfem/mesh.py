@@ -7,6 +7,7 @@ ray from node j through node i leaves the star of i.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 INTERIOR = "interior"
 BOTTOM = "bottom"
@@ -48,6 +49,21 @@ class Mesh:
         the CSR-style offsets of each node's group.
     h : float
         Maximum element diameter.
+    gradients : (M, 3, 2) array
+        ``gradients[e, a]`` is the constant gradient of the hat function of
+        local vertex a on element e.
+    pattern_indptr, pattern_indices : int arrays
+        The P1 sparsity pattern: sorted CSR structure of all node pairs that
+        share an element, diagonal included.  Every assembled operator is
+        stored on it, and the slot maps below index its ``data``.
+    element_slots : (M, 3, 3) int array
+        Slot of the entry coupling local vertices a and b of element e.
+    diag_slots, transpose_slots : int arrays
+        Slot of each diagonal entry, and of the transposed entry of each slot.
+    edge_slots, edge_slots_t : int arrays
+        Slots of the (i, j) and (j, i) entries of each unordered edge.
+    edge_ends : int array
+        ``edge_i`` followed by ``edge_j``, for per-node sums over edges.
     """
 
     def __init__(self, nodes, elements, boundary_tags=None):
@@ -75,6 +91,13 @@ class Mesh:
             ]
         )
         self.h = float(edge_len.max())
+        two_a = 2.0 * self.areas
+        self.gradients = np.empty((self.num_elements, 3, 2))
+        # grad lambda_a = rot90(opposite edge) / (2 A), edges taken CCW
+        for a, (q, r) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
+            e = r - q
+            self.gradients[:, a, 0] = -e[:, 1] / two_a
+            self.gradients[:, a, 1] = e[:, 0] / two_a
 
         self._build_adjacency()
         self._find_boundary()
@@ -98,33 +121,53 @@ class Mesh:
 
     def _build_adjacency(self):
         tri = self.elements
-        # every vertex of a triangle is adjacent to every vertex of it
+        n = self.num_nodes
+        # every vertex of a triangle is adjacent to every vertex of it; entry
+        # (3a + b) M + e couples local vertices a and b of element e
         rows = np.concatenate([tri[:, a] for a in range(3) for _ in range(3)])
         cols = np.concatenate([tri[:, b] for _ in range(3) for b in range(3)])
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
         keep = np.ones(rows.size, dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        slot = np.empty(rows.size, dtype=np.int64)
+        slot[order] = np.cumsum(keep) - 1
         rows, cols = rows[keep], cols[keep]
 
-        counts = np.bincount(rows, minlength=self.num_nodes)
-        ptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        counts = np.bincount(rows, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
-        self.node_neighbors = [
-            cols[ptr[i]:ptr[i + 1]].copy() for i in range(self.num_nodes)
-        ]
+        self.node_neighbors = [cols[ptr[i]:ptr[i + 1]].copy() for i in range(n)]
+
+        # the P1 sparsity pattern (sorted CSR, diagonal included) and the
+        # slots of the entries every assembled operator writes
+        idx = np.int32 if rows.size < 2**31 else np.int64
+        self.pattern_indptr = ptr.astype(idx)
+        self.pattern_indices = cols.astype(idx)
+        # shared by every matrix on the pattern: no in-place change of one
+        # may alter the others
+        self.pattern_indptr.flags.writeable = False
+        self.pattern_indices.flags.writeable = False
+        self.element_slots = slot.reshape(9, -1).T.reshape(-1, 3, 3)
+        keys = rows * n + cols
+        self.transpose_slots = np.searchsorted(keys, cols * n + rows)
+        self.diag_slots = np.flatnonzero(rows == cols)
 
         off = cols != rows
         self.pair_i = rows[off].copy()
         self.pair_j = cols[off].copy()
-        counts_off = np.bincount(self.pair_i, minlength=self.num_nodes)
-        self.pair_ptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        counts_off = np.bincount(self.pair_i, minlength=n)
+        self.pair_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts_off, out=self.pair_ptr[1:])
 
-        # unordered adjacent pairs (i < j), used by edge-based operators
+        # unordered adjacent pairs (i < j), used by edge-based operators,
+        # with the slots of their (i, j) and (j, i) entries
         und = self.pair_i < self.pair_j
         self.edge_i = self.pair_i[und].copy()
         self.edge_j = self.pair_j[und].copy()
+        self.edge_slots = np.flatnonzero(off)[und]
+        self.edge_slots_t = self.transpose_slots[self.edge_slots]
+        self.edge_ends = np.concatenate([self.edge_i, self.edge_j])
 
     def _find_boundary(self):
         tri = self.elements
@@ -151,6 +194,49 @@ class Mesh:
         if k == js.size or js[k] != j:
             raise KeyError(f"node {j} is not a neighbor of node {i}")
         return int(lo + k)
+
+    @property
+    def pattern_nnz(self):
+        return self.pattern_indices.size
+
+    def csr(self, data):
+        """CSR matrix with the given values on the P1 pattern."""
+        n = self.num_nodes
+        return sp.csr_matrix(
+            (data, self.pattern_indices, self.pattern_indptr), shape=(n, n))
+
+    def csc(self, data):
+        """The matrix ``csr(data)`` in CSC form, with its zero values left out.
+
+        The pattern is structurally symmetric, so the CSC arrays are the CSR
+        ones and its values a fixed permutation of the CSR values.  Leaving
+        the zeros out gives a sparse LU the matrix's nonzero structure.
+        """
+        n = self.num_nodes
+        A = sp.csc_matrix(
+            (data[self.transpose_slots], self.pattern_indices.copy(),
+             self.pattern_indptr.copy()), shape=(n, n))
+        A.eliminate_zeros()
+        return A
+
+    def pattern_data(self, matrix):
+        """Values of a CSR matrix stored on this mesh's P1 pattern.
+
+        Raises ``ValueError`` for any other matrix: slot maps index its
+        ``data`` directly.
+        """
+        if not (sp.issparse(matrix) and matrix.format == "csr"
+                and matrix.shape == (self.num_nodes, self.num_nodes)
+                and np.array_equal(matrix.indptr, self.pattern_indptr)
+                and np.array_equal(matrix.indices, self.pattern_indices)):
+            raise ValueError("matrix is not stored on the mesh's P1 pattern")
+        return matrix.data
+
+    def edge_entries(self, matrix, transposed=False):
+        """Entries (i, j) of a pattern matrix at the unordered edges i < j,
+        or (j, i) when ``transposed``."""
+        slots = self.edge_slots_t if transposed else self.edge_slots
+        return self.pattern_data(matrix)[slots]
 
     def nodes_with_tag(self, tag):
         """Indices of all nodes carrying the given boundary tag."""
@@ -426,8 +512,7 @@ def check_acuteness(mesh, stiffness, tol=1e-14):
     The mesh is strictly acute when (grad phi_i, grad phi_j) <= -c for every
     adjacent pair i != j; the report carries c (from the worst pair).
     """
-    K = stiffness.tocsr()
-    vals = np.asarray(K[mesh.edge_i, mesh.edge_j]).ravel()
+    vals = mesh.edge_entries(stiffness)
     worst = int(np.argmax(vals))
     worst_pair = (int(mesh.edge_i[worst]), int(mesh.edge_j[worst]))
     max_entry = float(vals[worst])

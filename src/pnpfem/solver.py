@@ -13,7 +13,6 @@ stabilization.
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .detector import compute_alpha
@@ -136,12 +135,6 @@ class BoundarySpec:
         return np.concatenate(nodes), np.concatenate(values)
 
 
-def _diag_vector(lumped):
-    if sp.issparse(lumped):
-        return np.asarray(lumped.diagonal(), dtype=float)
-    return np.asarray(lumped, dtype=float)
-
-
 class PoissonSolver:
     """Prefactorized potential solver for a fixed mesh and boundary spec.
 
@@ -155,7 +148,7 @@ class PoissonSolver:
                  electroneutrality_tol=ELECTRONEUTRALITY_TOL, linear_tol=1e-12):
         self.mesh = mesh
         self.stiffness = stiffness.tocsr()
-        self.d = _diag_vector(lumped)
+        self.d = diagnostics.diag_vector(lumped)
         self.area = float(self.d.sum())
         self.electroneutrality_tol = electroneutrality_tol
         self.linear_tol = linear_tol
@@ -194,7 +187,7 @@ class PoissonSolver:
                 )
             b = b - (total / self.area) * self.d
             phi[self.free] = self._lu.solve(b[self.free])
-            phi -= (self.d @ phi) / self.area
+            phi -= diagnostics.dot(self.d, phi) / self.area
             resid = self.stiffness @ phi - b
         else:
             phi[self.fixed] = self.fixed_values
@@ -230,27 +223,26 @@ class Assemblies:
         self.fns = fns
         self.mass = assemble_mass(mesh)
         self.d = lumped_mass_vector(mesh)
-        self.lumped = sp.diags(self.d, format="csr")
         self.stiffness = assemble_stiffness(mesh)
         self.poisson = PoissonSolver(
             mesh, self.stiffness, self.d, bc,
             electroneutrality_tol=electroneutrality_tol,
         )
         self.p_fixed, self.p_fixed_values = bc.tagged_nodes(mesh, bc.p_dirichlet)
-        n = mesh.num_nodes
-        if self.p_fixed.size:
-            keep = np.ones(n, dtype=bool)
-            keep[self.p_fixed] = False
-            self._row_mask = sp.diags(keep.astype(float), format="csr")
-            fix = np.zeros(n)
-            fix[self.p_fixed] = 1.0
-            self._row_fix = sp.diags(fix, format="csr")
+        rows = np.repeat(np.arange(mesh.num_nodes),
+                         np.diff(mesh.pattern_indptr))
+        self._p_row_slots = np.flatnonzero(np.isin(rows, self.p_fixed))
 
     def impose_p_rows(self, A, b):
-        """Replace pinned cation rows by identity rows with the pinned value."""
+        """Replace pinned cation rows by identity rows with the pinned value.
+
+        ``A`` holds the values of a matrix on the mesh's P1 pattern and is
+        changed in place.
+        """
         if not self.p_fixed.size:
             return A, b
-        A = self._row_mask @ A + self._row_fix
+        A[self._p_row_slots] = 0.0
+        A[self.mesh.diag_slots[self.p_fixed]] = 1.0
         b = b.copy()
         b[self.p_fixed] = self.p_fixed_values
         return A, b
@@ -328,10 +320,11 @@ def _backward_error(A, x, b):
     return resid / max(scale, np.finfo(float).tiny)
 
 
-def _solve_linear(A, b, linear_tol):
-    lu = spla.splu(A.tocsc())
+def _solve_linear(mesh, A, b, linear_tol):
+    """Solve with the matrix whose P1-pattern values are ``A``."""
+    lu = spla.splu(mesh.csc(A))
     x = lu.solve(b)
-    err = _backward_error(A, x, b)
+    err = _backward_error(mesh.csr(A), x, b)
     if not np.isfinite(err) or err > 1e3 * linear_tol:
         raise LinearSolveError(
             f"density solve backward error {err:g} exceeds tolerance")
@@ -339,7 +332,12 @@ def _solve_linear(A, b, linear_tol):
 
 
 class _StepContext:
-    """One time step's residual evaluation and linearized solves."""
+    """One time step's residual evaluation and linearized solves.
+
+    Every residual evaluation builds the coefficients at its iterate and
+    keeps them; a sweep from the same iterate, which is the usual case,
+    reuses them instead of building them again.
+    """
 
     def __init__(self, state, config, asm):
         self.asm = asm
@@ -347,7 +345,7 @@ class _StepContext:
         self.p_old = state.p
         self.n_old = state.n
         self.k = config.k
-        self._last = None  # (z, phi, residual_vector)
+        self._built = None  # (p, n, phi, coefficients) of the last residual
 
     def _coefficients(self, p, n, phi):
         asm, cfg = self.asm, self.config
@@ -375,7 +373,9 @@ class _StepContext:
         at a true fixed point of the step."""
         asm, cfg, k = self.asm, self.config, self.k
         phi = asm.poisson.solve(p - n)
-        extra, Bp, Bn = self._coefficients(p, n, phi)
+        coefficients = self._coefficients(p, n, phi)
+        self._built = (p, n, phi, coefficients)
+        extra, Bp, Bn = coefficients
         K = asm.stiffness
         if cfg.algorithm == 1:
             G = extra
@@ -391,40 +391,63 @@ class _StepContext:
 
     def residual_norm(self, z):
         p, n = _unstack(z, self.asm.mesh.num_nodes)
-        phi, r = self.residual_parts(p, n)
-        self._last = (z, phi, r)
+        _, r = self.residual_parts(p, n)
         return float(np.abs(r).max())
 
-    def cached_phi(self, z):
-        if self._last is not None and np.array_equal(self._last[0], z):
-            return self._last[1]
-        p, n = _unstack(z, self.asm.mesh.num_nodes)
-        phi, r = self.residual_parts(p, n)
-        self._last = (z, phi, r)
-        return phi
+    def _built_at(self, p, n):
+        """What the last residual kept, if it was evaluated at (p, n)."""
+        built = self._built
+        if built is not None and np.array_equal(built[0], p) \
+                and np.array_equal(built[1], n):
+            return built
+        return None
 
-    def linearized_solve(self, p_i, n_i, phi_i):
-        """One block sweep with coefficients frozen at the given iterate."""
+    def cached_phi(self, z):
+        p, n = _unstack(z, self.asm.mesh.num_nodes)
+        if self._built_at(p, n) is None:
+            self.residual_parts(p, n)
+        return self._built[2]
+
+    def systems(self, p, n, phi):
+        """The two density systems with coefficients frozen at (p, n, phi).
+
+        Returns (A_p, b_p, A_n, b_n); each A holds the values of the system
+        matrix on the mesh's P1 pattern.
+        """
         asm, cfg, k = self.asm, self.config, self.k
-        K = asm.stiffness
-        extra, Bp, Bn = self._coefficients(p_i, n_i, phi_i)
+        built = self._built_at(p, n)
+        if built is not None and np.array_equal(built[2], phi):
+            extra, Bp, Bn = built[3]
+        else:
+            extra, Bp, Bn = self._coefficients(p, n, phi)
+        # every matrix here is on the mesh's P1 pattern, so sums of matrices
+        # are sums of their values; dividing by k multiplies by 1/k, as
+        # scipy does for a sparse matrix
+        K = asm.stiffness.data
         if cfg.algorithm == 1:
-            G = extra
-            A_p = asm.mass / k + K + G + Bp.matrix
-            A_n = asm.mass / k + K - G + Bn.matrix
+            G = extra.data
+            Mk_K = asm.mass.data * (1.0 / k) + K
+            A_p = Mk_K + G + Bp.matrix.data
+            A_n = Mk_K - G + Bn.matrix.data
             b_p = asm.mass @ self.p_old / k
             b_n = asm.mass @ self.n_old / k
         else:
             vp, vn = extra
-            Dk = asm.lumped / k
-            A_p = Dk + K + Bp.matrix
-            A_n = Dk + K + Bn.matrix
+            Dk_K = K.copy()
+            Dk_K[asm.mesh.diag_slots] += asm.d * (1.0 / k)
+            A_p = Dk_K + Bp.matrix.data
+            A_n = Dk_K + Bn.matrix.data
             b_p = asm.d * self.p_old / k - vp
             b_n = asm.d * self.n_old / k + vn
         A_p, b_p = asm.impose_p_rows(A_p, b_p)
-        p_star = _solve_linear(A_p, b_p, cfg.linear_tol)
-        n_star = _solve_linear(A_n, b_n, cfg.linear_tol)
-        return p_star, n_star
+        return A_p, b_p, A_n, b_n
+
+    def linearized_solve(self, p_i, n_i, phi_i):
+        """One block sweep with coefficients frozen at the given iterate."""
+        A_p, b_p, A_n, b_n = self.systems(p_i, n_i, phi_i)
+        mesh, tol = self.asm.mesh, self.config.linear_tol
+        return (_solve_linear(mesh, A_p, b_p, tol),
+                _solve_linear(mesh, A_n, b_n, tol))
 
 
 def _picard_step(state, config, bc, asm):
@@ -466,7 +489,7 @@ def _picard_step(state, config, bc, asm):
                 jam_res = history[-1]
                 z_new = z + config.shrink * (candidate - z)
                 res = ctx.residual_norm(z_new)
-        increment = float(np.linalg.norm(z_new - z))
+        increment = float(np.sqrt(diagnostics.dot(z_new - z, z_new - z)))
         phi_i = ctx.cached_phi(z_new)
         z = z_new
         history.append(res)

@@ -8,7 +8,6 @@ secants for the second.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class EntropyFunctions:
@@ -84,15 +83,16 @@ class StabilizerMatrix:
         return self.matrix @ x
 
 
-def _graph_laplacian(n, edge_i, edge_j, w):
-    rows = np.concatenate([edge_i, edge_j, edge_i, edge_j])
-    cols = np.concatenate([edge_i, edge_j, edge_j, edge_i])
-    vals = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _edge_entries(matrix, edge_i, edge_j):
-    return np.asarray(matrix[edge_i, edge_j]).ravel()
+def _graph_laplacian(mesh, w):
+    """Pattern matrix with -w on both entries of each edge and the incident
+    weight sums on the diagonal."""
+    data = np.zeros(mesh.pattern_nnz)
+    data[mesh.edge_slots] = -w
+    data[mesh.edge_slots_t] = -w
+    data[mesh.diag_slots] = np.bincount(
+        mesh.edge_ends, weights=np.concatenate([w, w]),
+        minlength=mesh.num_nodes)
+    return mesh.csr(data)
 
 
 def pair_fluxes_alg1(i, j, timestep, mass, stiffness, drift):
@@ -121,12 +121,12 @@ def build_stabilizer_alg1(sign, timestep, alpha, mesh, mass, stiffness, drift):
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     ei, ej = mesh.edge_i, mesh.edge_j
-    base = _edge_entries(mass, ei, ej) / timestep + _edge_entries(stiffness, ei, ej)
-    f_ij = base + sign * _edge_entries(drift, ei, ej)
-    f_ji = base + sign * _edge_entries(drift, ej, ei)
+    base = mesh.edge_entries(mass) / timestep + mesh.edge_entries(stiffness)
+    f_ij = base + sign * mesh.edge_entries(drift)
+    f_ji = base + sign * mesh.edge_entries(drift, transposed=True)
     a = np.asarray(alpha, dtype=float)
     w = np.maximum(np.maximum(a[ei] * f_ij, a[ej] * f_ji), 0.0)
-    return StabilizerMatrix(_graph_laplacian(mesh.num_nodes, ei, ej, w), ei, ej, w)
+    return StabilizerMatrix(_graph_laplacian(mesh, w), ei, ej, w)
 
 
 def secant_slope(i, j, x, fns):
@@ -169,12 +169,9 @@ def star_transport_vector(x, phi, fns, stiffness, mesh):
     ei, ej = mesh.edge_i, mesh.edge_j
     tau, _, _ = _edge_secants(x, fns, ei, ej)
     dphi = phi[ej] - phi[ei]
-    kij = _edge_entries(stiffness, ei, ej)
-    w = tau * dphi * kij
-    v = np.zeros(x.size)
-    np.add.at(v, ei, w)
-    np.add.at(v, ej, -w)
-    return v
+    w = tau * dphi * mesh.edge_entries(stiffness)
+    return np.bincount(mesh.edge_ends, weights=np.concatenate([w, -w]),
+                       minlength=mesh.num_nodes)
 
 
 def star_transport(x, phi, xbar, fns, stiffness, mesh):
@@ -193,12 +190,13 @@ def pair_fluxes_alg2(i, j, x, phi, fns, stiffness):
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     ei, ej = np.array([i]), np.array([j])
-    f_plus, _ = _alg2_flux_edges(x, phi, fns, stiffness, ei, ej, sign=+1)
-    f_minus, _ = _alg2_flux_edges(x, phi, fns, stiffness, ei, ej, sign=-1)
+    kij = np.array([stiffness[i, j]])
+    f_plus, _ = _alg2_flux_edges(x, phi, fns, kij, ei, ej, sign=+1)
+    f_minus, _ = _alg2_flux_edges(x, phi, fns, kij, ei, ej, sign=-1)
     return float(f_plus[0]), float(f_minus[0])
 
 
-def _alg2_flux_edges(x, phi, fns, stiffness, ei, ej, sign=+1):
+def _alg2_flux_edges(x, phi, fns, kij, ei, ej, sign=+1):
     xi, xj = x[ei], x[ej]
     dx = xj - xi
     ddg = np.asarray(fns.dg(xj) - fns.dg(xi))
@@ -206,7 +204,6 @@ def _alg2_flux_edges(x, phi, fns, stiffness, ei, ej, sign=+1):
     safe_dx = np.where(distinct, dx, 1.0)
     inv_slope = 1.0 / np.where(distinct, ddg, 1.0)
     dphi = phi[ej] - phi[ei]
-    kij = _edge_entries(stiffness, ei, ej)
     f_ij = (1.0 + sign * dphi * (inv_slope - np.maximum(xi, fns.epsilon) / safe_dx)) * kij
     f_ji = (1.0 + sign * dphi * (inv_slope - np.maximum(xj, fns.epsilon) / safe_dx)) * kij
     return np.where(distinct, f_ij, 0.0), np.where(distinct, f_ji, 0.0)
@@ -219,9 +216,8 @@ def build_stabilizer_alg2(sign, x, phi, alpha, fns, stiffness, mesh):
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     ei, ej = mesh.edge_i, mesh.edge_j
-    f_ij, f_ji = _alg2_flux_edges(x, phi, fns, stiffness, ei, ej, sign)
+    f_ij, f_ji = _alg2_flux_edges(x, phi, fns, mesh.edge_entries(stiffness),
+                                  ei, ej, sign)
     a = np.asarray(alpha, dtype=float)
     w = np.maximum(np.maximum(a[ei] * f_ij, a[ej] * f_ji), 0.0)
-    return StabilizerMatrix(
-        _graph_laplacian(mesh.num_nodes, ei, ej, w), ei, ej, w
-    )
+    return StabilizerMatrix(_graph_laplacian(mesh, w), ei, ej, w)

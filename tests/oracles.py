@@ -6,6 +6,7 @@ integrals from quadrature, so agreement with the package is a real check.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 # degree-5 rule on the reference triangle (barycentric points, weights
 # summing to one); transcribed independently from standard tables
@@ -150,3 +151,122 @@ def exhaustive_sym_point(mesh, i, j):
         return None
     t = min(hits)
     return t, p0 + t * d
+
+
+# --- general sparse assembly -------------------------------------------------
+# The package writes every operator straight into the values of one CSR
+# pattern per mesh.  These are the same operators built the general way:
+# coordinate triplets summed by ``tocsr`` and entries read by CSR fancy
+# indexing, with no knowledge of the pattern.
+
+
+def coo_accumulate(mesh, local):
+    """Sum (M, 3, 3) local matrices through coordinate triplets."""
+    tri = mesh.elements
+    n = mesh.num_nodes
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def coo_mass(mesh):
+    local = np.full((mesh.num_elements, 3, 3), 1.0)
+    local[:, [0, 1, 2], [0, 1, 2]] = 2.0
+    return coo_accumulate(mesh, local * mesh.areas[:, None, None] / 12.0)
+
+
+def coo_stiffness(mesh):
+    g = np.array([hat_gradients(mesh.nodes[t]) for t in mesh.elements])
+    local = np.einsum("eax,ebx->eab", g, g) * mesh.areas[:, None, None]
+    return coo_accumulate(mesh, local)
+
+
+def coo_drift(mesh, phi):
+    g = np.array([hat_gradients(mesh.nodes[t]) for t in mesh.elements])
+    gphi = np.einsum("ea,eax->ex", phi[mesh.elements], g)
+    row_val = np.einsum("ex,eax->ea", gphi, g) * (mesh.areas[:, None] / 3.0)
+    return coo_accumulate(mesh, np.repeat(row_val[:, :, None], 3, axis=2))
+
+
+def coo_graph_laplacian(n, edge_i, edge_j, w):
+    rows = np.concatenate([edge_i, edge_j, edge_i, edge_j])
+    cols = np.concatenate([edge_i, edge_j, edge_j, edge_i])
+    vals = np.concatenate([w, w, -w, -w])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _entries(matrix, rows, cols):
+    return np.asarray(matrix[rows, cols]).ravel()
+
+
+def coo_stabilizer_alg1(sign, k, alpha, mesh, mass, stiffness, drift):
+    ei, ej = mesh.edge_i, mesh.edge_j
+    base = _entries(mass, ei, ej) / k + _entries(stiffness, ei, ej)
+    f_ij = base + sign * _entries(drift, ei, ej)
+    f_ji = base + sign * _entries(drift, ej, ei)
+    w = np.maximum(np.maximum(alpha[ei] * f_ij, alpha[ej] * f_ji), 0.0)
+    return coo_graph_laplacian(mesh.num_nodes, ei, ej, w)
+
+
+def _secants(x, fns, ei, ej):
+    xi, xj = x[ei], x[ej]
+    dx = xj - xi
+    ddg = np.asarray(fns.dg(xj) - fns.dg(xi))
+    distinct = (dx != 0.0) & (ddg != 0.0)
+    return xi, xj, dx, ddg, distinct
+
+
+def coo_stabilizer_alg2(sign, x, phi, alpha, fns, stiffness, mesh):
+    ei, ej = mesh.edge_i, mesh.edge_j
+    xi, xj, dx, ddg, distinct = _secants(x, fns, ei, ej)
+    safe_dx = np.where(distinct, dx, 1.0)
+    inv_slope = 1.0 / np.where(distinct, ddg, 1.0)
+    dphi = phi[ej] - phi[ei]
+    kij = _entries(stiffness, ei, ej)
+    f = [(1.0 + sign * dphi * (inv_slope - np.maximum(xa, fns.epsilon)
+                                / safe_dx)) * kij for xa in (xi, xj)]
+    f_ij, f_ji = (np.where(distinct, fa, 0.0) for fa in f)
+    w = np.maximum(np.maximum(alpha[ei] * f_ij, alpha[ej] * f_ji), 0.0)
+    return coo_graph_laplacian(mesh.num_nodes, ei, ej, w)
+
+
+def coo_star_transport_vector(x, phi, fns, stiffness, mesh):
+    ei, ej = mesh.edge_i, mesh.edge_j
+    xi, _, dx, ddg, distinct = _secants(x, fns, ei, ej)
+    tau = np.where(distinct, np.divide(dx, np.where(distinct, ddg, 1.0)),
+                   np.maximum(xi, fns.epsilon))
+    w = tau * (phi[ej] - phi[ei]) * _entries(stiffness, ei, ej)
+    v = np.zeros(x.size)
+    np.add.at(v, ei, w)
+    np.add.at(v, ej, -w)
+    return v
+
+
+def coo_pinned_rows(A, fixed):
+    """A with the rows of the fixed nodes replaced by identity rows, by
+    multiplying with diagonal row masks."""
+    n = A.shape[0]
+    keep = np.ones(n)
+    keep[fixed] = 0.0
+    return sp.diags(keep, format="csr") @ A + sp.diags(1.0 - keep,
+                                                       format="csr")
+
+
+def jittered_delaunay_mesh(n, jitter, seed):
+    """Delaunay triangulation of an (n+1) x (n+1) grid of the unit square
+    whose interior points are moved by up to ``jitter`` cells."""
+    from scipy.spatial import Delaunay
+
+    from pnpfem import Mesh
+
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    inner = (pts > 0.0).all(axis=1) & (pts < 1.0).all(axis=1)
+    pts[inner] += rng.uniform(-jitter, jitter, size=(inner.sum(), 2)) / n
+    tri = Delaunay(pts).simplices.copy()
+    a, b, c = (pts[tri[:, k]] for k in range(3))
+    cw = ((b - a)[:, 0] * (c - a)[:, 1] - (b - a)[:, 1] * (c - a)[:, 0]) < 0
+    tri[cw] = tri[cw][:, [0, 2, 1]]
+    return Mesh(pts, tri)

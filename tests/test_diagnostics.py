@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -240,3 +244,40 @@ class TestCsvRoundTrip:
             assert row.mass_ok == int(mass_ok)
             assert row.entropy_ok == int(entropy_ok)
             prev_entropy = row.entropy
+
+
+_THREADED_DIAGNOSTICS = """
+import numpy as np
+from pnpfem import (assemble_stiffness, averaged_interpolate, build_unit_square,
+                    dissipation_Dh, energy_electrostatic, entropy_Eh,
+                    entropy_functions, lumped_mass_vector, mass)
+from pnpfem.scenarios import smooth_n0
+mesh = build_unit_square(64)
+K, d = assemble_stiffness(mesh), lumped_mass_vector(mesh)
+rng = np.random.default_rng(6)
+p = rng.uniform(0.5, 2.0, size=mesh.num_nodes)
+n = averaged_interpolate(smooth_n0, mesh)
+phi = rng.normal(size=mesh.num_nodes)
+fns = entropy_functions(0.05)
+values = (dissipation_Dh(p, phi, K, fns, mesh), entropy_Eh(p, n, phi, d, K, fns),
+          energy_electrostatic(phi, K), mass(p, d))
+print(" ".join(float.hex(v) for v in values))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_reductions_independent_of_blas_threads():
+    # a 1-D BLAS dot sums in an order that follows its thread count; the
+    # diagnostics must not, so that diagnostics.csv is bit-reproducible
+    import pnpfem
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pnpfem.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _THREADED_DIAGNOSTICS],
+                              env=env, stdout=subprocess.PIPE, text=True,
+                              timeout=300, check=True)
+        out.append(proc.stdout.split())
+    assert out[0] == out[1]

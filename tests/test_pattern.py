@@ -1,0 +1,194 @@
+"""Operators written into the per-mesh P1 pattern against general sparse
+assembly (coordinate triplets, CSR fancy indexing, row-mask products)."""
+
+import numpy as np
+import pytest
+
+from pnpfem import (
+    Assemblies,
+    BoundarySpec,
+    SolverConfig,
+    State,
+    assemble_drift,
+    assemble_mass,
+    assemble_stiffness,
+    build_channel,
+    build_stabilizer_alg1,
+    build_stabilizer_alg2,
+    build_sym_stencils,
+    build_unit_square,
+    compute_alpha,
+    entropy_functions,
+    star_transport_vector,
+)
+from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
+from pnpfem.solver import _StepContext
+
+import oracles
+
+REL = 1e-14
+
+
+def _close(got, expected):
+    """Agreement to REL relative to the largest expected magnitude."""
+    got = got.toarray() if hasattr(got, "toarray") else np.asarray(got)
+    expected = (expected.toarray() if hasattr(expected, "toarray")
+                else np.asarray(expected))
+    scale = max(np.abs(expected).max(), np.finfo(float).tiny)
+    return np.abs(got - expected).max() <= REL * scale
+
+
+MESHES = {
+    "square": lambda: build_unit_square(8),
+    "channel": lambda: build_channel(0.5),
+    "delaunay": lambda: oracles.jittered_delaunay_mesh(10, 0.3, seed=7),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MESHES))
+def case(request):
+    mesh = MESHES[request.param]()
+    rng = np.random.default_rng(20240817)
+    n = mesh.num_nodes
+    x = rng.uniform(0.5, 2.0, size=n)
+    phi = rng.normal(size=n)
+    return {
+        "mesh": mesh,
+        "stencil": build_sym_stencils(mesh),
+        "M": assemble_mass(mesh),
+        "K": assemble_stiffness(mesh),
+        "x": x,
+        "phi": phi,
+        "fns": entropy_functions(0.3),
+    }
+
+
+def test_pattern_is_the_node_adjacency(case):
+    mesh = case["mesh"]
+    A = mesh.csr(np.ones(mesh.pattern_nnz))
+    assert A.has_canonical_format
+    for i in range(mesh.num_nodes):
+        assert np.array_equal(A.indices[A.indptr[i]:A.indptr[i + 1]],
+                              mesh.node_neighbors[i])
+    rows = np.repeat(np.arange(mesh.num_nodes), np.diff(mesh.pattern_indptr))
+    cols = mesh.pattern_indices
+    assert np.array_equal(rows[mesh.transpose_slots], cols)
+    assert np.array_equal(cols[mesh.transpose_slots], rows)
+    assert np.array_equal(rows[mesh.edge_slots], mesh.edge_i)
+    assert np.array_equal(cols[mesh.edge_slots], mesh.edge_j)
+    assert np.array_equal(rows[mesh.edge_slots_t], mesh.edge_j)
+    assert np.array_equal(rows[mesh.diag_slots], cols[mesh.diag_slots])
+    tri = mesh.elements
+    slots = mesh.element_slots
+    assert np.array_equal(rows[slots], np.repeat(tri[:, :, None], 3, axis=2))
+    assert np.array_equal(cols[slots], np.repeat(tri[:, None, :], 3, axis=1))
+
+
+def test_csc_is_the_same_matrix_without_zeros(case):
+    mesh = case["mesh"]
+    data = np.random.default_rng(3).normal(size=mesh.pattern_nnz)
+    data[::5] = 0.0
+    A = mesh.csc(data)
+    assert A.format == "csc" and A.nnz == np.count_nonzero(data)
+    assert (A != mesh.csr(data)).nnz == 0
+
+
+def test_pattern_arrays_are_shared_read_only(case):
+    mesh = case["mesh"]
+    A = mesh.csr(np.zeros(mesh.pattern_nnz))
+    with pytest.raises(ValueError):
+        A.eliminate_zeros()
+    assert mesh.pattern_indptr[-1] == mesh.pattern_nnz
+
+
+def test_matrix_off_the_pattern_rejected(case):
+    mesh, M, K = case["mesh"], case["M"], case["K"]
+    with pytest.raises(ValueError, match="pattern"):
+        mesh.edge_entries(M.tocoo())
+    pruned = K.copy()
+    pruned.data[mesh.edge_slots[0]] = 0.0
+    pruned.eliminate_zeros()
+    with pytest.raises(ValueError, match="pattern"):
+        mesh.edge_entries(pruned)
+    assert np.array_equal(mesh.edge_entries(K),
+                          np.asarray(K[mesh.edge_i, mesh.edge_j]).ravel())
+
+
+def test_mass_stiffness_drift(case):
+    mesh, phi = case["mesh"], case["phi"]
+    assert _close(case["M"], oracles.coo_mass(mesh))
+    assert _close(case["K"], oracles.coo_stiffness(mesh))
+    assert _close(assemble_drift(mesh, phi), oracles.coo_drift(mesh, phi))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_stabilizer_alg1(case, sign):
+    mesh, M, K = case["mesh"], case["M"], case["K"]
+    alpha = compute_alpha(case["x"], 2.0, mesh, case["stencil"])
+    assert alpha.max() > 0.0
+    G = assemble_drift(mesh, case["phi"])
+    B = build_stabilizer_alg1(sign, 0.01, alpha, mesh, M, K, G)
+    assert _close(B.matrix, oracles.coo_stabilizer_alg1(
+        sign, 0.01, alpha, mesh, M, K, G))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_stabilizer_alg2(case, sign):
+    mesh, K, x, phi = case["mesh"], case["K"], case["x"], case["phi"]
+    alpha = compute_alpha(x, 2.0, mesh, case["stencil"])
+    B = build_stabilizer_alg2(sign, x, phi, alpha, case["fns"], K, mesh)
+    expected = oracles.coo_stabilizer_alg2(sign, x, phi, alpha, case["fns"],
+                                           K, mesh)
+    assert abs(expected).max() > 0.0
+    assert _close(B.matrix, expected)
+
+
+def test_star_transport_vector(case):
+    mesh, K, x, phi = case["mesh"], case["K"], case["x"], case["phi"]
+    x = x.copy()
+    x[1::2] = x[:-1:2]  # equal-valued pairs take the other branch
+    got = star_transport_vector(x, phi, case["fns"], K, mesh)
+    expected = oracles.coo_star_transport_vector(x, phi, case["fns"], K, mesh)
+    assert _close(got, expected)
+
+
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_pinned_row_systems(algorithm):
+    mesh = build_channel(0.5)
+    bc = BoundarySpec(phi_dirichlet={BOTTOM: -1.0, TOP: 1.0},
+                      p_dirichlet={MEMBRANE: 1.0})
+    fns = entropy_functions(1e-8)
+    asm = Assemblies(mesh, build_sym_stencils(mesh), bc, fns)
+    assert asm.p_fixed.size > 0
+    rng = np.random.default_rng(11)
+    p = rng.uniform(0.5, 2.0, size=mesh.num_nodes)
+    n = rng.uniform(0.5, 2.0, size=mesh.num_nodes)
+    phi = asm.poisson.solve(p - n)
+    k = 0.01
+    config = SolverConfig(algorithm=algorithm, k=k)
+    ctx = _StepContext(State(p, n, phi, 0.0), config, asm)
+    A_p, b_p, A_n, b_n = ctx.systems(p, n, phi)
+
+    M, K = asm.mass, asm.stiffness
+    a_p = compute_alpha(p, config.q, mesh, asm.stencil)
+    a_n = compute_alpha(n, config.q, mesh, asm.stencil)
+    if algorithm == 1:
+        G = assemble_drift(mesh, phi)
+        base = M / k + K
+        Bp = oracles.coo_stabilizer_alg1(+1, k, a_p, mesh, M, K, G)
+        Bn = oracles.coo_stabilizer_alg1(-1, k, a_n, mesh, M, K, G)
+        exp_p, exp_n = base + G + Bp, base - G + Bn
+        exp_b_p = M @ p / k
+    else:
+        base = oracles.sp.diags(asm.d / k) + K
+        exp_p = base + oracles.coo_stabilizer_alg2(+1, p, phi, a_p, fns, K,
+                                                   mesh)
+        exp_n = base + oracles.coo_stabilizer_alg2(-1, n, phi, a_n, fns, K,
+                                                   mesh)
+        exp_b_p = asm.d * p / k - oracles.coo_star_transport_vector(
+            p, phi, fns, K, mesh)
+    exp_p = oracles.coo_pinned_rows(exp_p, asm.p_fixed)
+    assert _close(mesh.csr(A_p), exp_p)
+    assert _close(mesh.csr(A_n), exp_n)
+    exp_b_p[asm.p_fixed] = 1.0
+    assert _close(b_p, exp_b_p)

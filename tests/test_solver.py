@@ -341,3 +341,38 @@ class TestConfigValidation:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(picard_residual_tol=-1.0)
+
+
+class TestCoefficientReuse:
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_sweeps_build_no_coefficients(self, algorithm, monkeypatch):
+        # every residual builds the detector of both species once; a sweep
+        # from the same iterate reuses them, so it adds no detector call
+        import pnpfem.solver as solver
+        from pnpfem.scenarios import builtin_scenario
+        sc = builtin_scenario("channel_selective", algorithm=algorithm)
+        sc.mesh_spec = ("channel", 0.5)
+        mesh = sc.make_mesh()
+        p0, n0 = sc.initial_fields(mesh)
+        asm = Assemblies(mesh, build_sym_stencils(mesh), sc.bc,
+                         entropy_functions(1e-8))
+        state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
+        calls = {"alpha": 0, "residual": 0, "sweep": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "compute_alpha",
+                            counted("alpha", solver.compute_alpha))
+        for key, attr in (("residual", "residual_parts"),
+                          ("sweep", "linearized_solve")):
+            monkeypatch.setattr(solver._StepContext, attr,
+                                counted(key, getattr(solver._StepContext,
+                                                     attr)))
+        step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
+        _, iters, _ = step(state, sc.config, sc.bc, asm)
+        assert calls["sweep"] == iters >= 2
+        assert calls["alpha"] == 2 * calls["residual"]
