@@ -19,7 +19,6 @@ from .mesh import (
 )
 from .fespace import (
     assemble_drift,
-    assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
     averaged_interpolate,
@@ -55,7 +54,6 @@ from .solver import (
     picard_step_alg1,
     picard_step_alg2,
     run,
-    solve_poisson,
 )
 from .diagnostics import (
     StepReport,

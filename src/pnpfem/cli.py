@@ -5,8 +5,15 @@ import os
 import sys
 
 from . import diagnostics, svgplot
-from .scenarios import BUILTIN_NAMES, ConfigError, builtin_scenario, parse_config
-from .solver import StepError, run
+from .scenarios import (
+    BUILTIN_NAMES,
+    ConfigError,
+    Scenario,
+    builtin_scenario,
+    fitting_snapshots,
+    parse_config,
+)
+from .solver import LinearSolveError, SolverConfig, StepError, run
 from .vtk_io import write_vtk_snapshot
 
 
@@ -35,6 +42,8 @@ def build_parser():
 
 
 def _load_scenario(args):
+    """The scenario with the flags applied, rebuilt through the validating
+    constructors, on a mesh built once for the run and its snapshots."""
     if args.config:
         scenario = parse_config(args.config)
     elif args.scenario:
@@ -42,26 +51,19 @@ def _load_scenario(args):
                                     algorithm=args.algorithm or 1)
     else:
         raise ConfigError("one of --scenario or --config is required")
-    if args.algorithm is not None:
-        scenario.config.algorithm = args.algorithm
-    if args.k is not None:
-        if args.k <= 0:
-            raise ConfigError(f"--k must be positive, got {args.k}")
-        scenario.config.k = args.k
-    if args.T is not None:
-        scenario.config.T = args.T
-        scenario.snapshot_times = tuple(
-            t for t in scenario.snapshot_times if t <= args.T)
-    if args.q is not None:
-        if args.q <= 0:
-            raise ConfigError(f"--q must be positive, got {args.q}")
-        scenario.config.q = args.q
-    if args.out:
-        scenario.output_dir = args.out
-    if args.snapshots is not None:
+    flags = {"algorithm": args.algorithm, "k": args.k, "T": args.T,
+             "q": args.q}
+    config = SolverConfig(**{**vars(scenario.config),
+                             **{key: value for key, value in flags.items()
+                                if value is not None}})
+    if args.snapshots is None:
+        times = fitting_snapshots(scenario.snapshot_times, config)
+    else:
         times = [float(t) for t in args.snapshots.split(",") if t.strip()]
-        scenario.snapshot_times = tuple(times)
-    return scenario
+    return Scenario(scenario.name, ("mesh", scenario.make_mesh()),
+                    scenario.initial, scenario.bc, config,
+                    output_dir=args.out or scenario.output_dir,
+                    snapshot_times=times)
 
 
 def _write_outputs(outdir, result):
@@ -116,8 +118,8 @@ def main(argv=None):
                                title=scenario.name)
 
     try:
-        result = run(_Prebuilt(scenario, mesh), on_step=on_step)
-    except StepError as err:
+        result = run(scenario, on_step=on_step)
+    except (StepError, LinearSolveError) as err:
         print(f"error: {err}", file=sys.stderr)
         partial = getattr(err, "partial", None)
         if partial is not None:
@@ -136,23 +138,6 @@ def main(argv=None):
     if not ok and not args.no_strict:
         return 1
     return 0
-
-
-class _Prebuilt:
-    """Scenario wrapper reusing an already-built mesh (for snapshot output)."""
-
-    def __init__(self, scenario, mesh):
-        self._scenario = scenario
-        self._mesh = mesh
-        self.bc = scenario.bc
-        self.config = scenario.config
-        self.name = scenario.name
-
-    def make_mesh(self):
-        return self._mesh
-
-    def initial_fields(self, mesh):
-        return self._scenario.initial_fields(mesh)
 
 
 if __name__ == "__main__":

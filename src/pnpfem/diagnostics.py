@@ -6,7 +6,6 @@ identically after a round trip.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 CSV_COLUMNS = (
     "t", "mass_p", "mass_n", "energy_es", "entropy", "dissipation",
@@ -36,13 +35,6 @@ class StepReport:
         return f"StepReport({body})"
 
 
-def diag_vector(lumped):
-    """Diagonal of a lumped mass given as a sparse matrix or a vector."""
-    if sp.issparse(lumped):
-        return np.asarray(lumped.diagonal(), dtype=float)
-    return np.asarray(lumped, dtype=float)
-
-
 def dot(a, b):
     """Inner product of two vectors by numpy's own reduction.
 
@@ -54,7 +46,7 @@ def dot(a, b):
 
 def mass(x, lumped):
     """Total mass of a nodal field: sum of D_ii x_i (= its exact integral)."""
-    return dot(diag_vector(lumped), np.asarray(x, dtype=float))
+    return dot(np.asarray(lumped, dtype=float), np.asarray(x, dtype=float))
 
 
 def energy_electrostatic(phi, stiffness):
@@ -74,7 +66,7 @@ def entropy_Eh(p, n, phi, lumped, stiffness, fns):
     n = np.asarray(n, dtype=float)
     if np.any(p < 0) or np.any(n < 0):
         raise ValueError("entropy requires nonnegative densities")
-    d = diag_vector(lumped)
+    d = np.asarray(lumped, dtype=float)
     return dot(d, fns.g0(p) + fns.g0(n)) + energy_electrostatic(phi, stiffness)
 
 

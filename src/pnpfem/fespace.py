@@ -7,7 +7,6 @@ linear elements).
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 # degree-5 Gauss rule on the reference triangle, barycentric coordinates and
 # weights normalized to sum to 1; positive weights keep element means inside
@@ -46,11 +45,6 @@ def assemble_mass(mesh):
     local[:, [0, 1, 2], [0, 1, 2]] = 2.0
     local *= mesh.areas[:, None, None] / 12.0
     return _accumulate(mesh, local)
-
-
-def assemble_lumped_mass(mesh):
-    """Diagonal (lumped) mass matrix; D_ii is the integral of hat function i."""
-    return sp.diags(lumped_mass_vector(mesh), format="csr")
 
 
 def lumped_mass_vector(mesh):

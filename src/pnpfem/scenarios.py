@@ -61,6 +61,19 @@ def wave_n0(x, y):
     return -np.tanh(10.0 * y - 0.8) + 1.0
 
 
+def _on_step_grid(t, k):
+    """True when t is a whole number of time steps k, to 1e-9 relative."""
+    m = t / k
+    return abs(m - round(m)) <= 1e-9 * max(m, 1.0)
+
+
+def fitting_snapshots(times, config):
+    """The snapshot times inside the horizon and on the step grid of a
+    config: built-in defaults shrink with an overridden T or k."""
+    return tuple(t for t in times
+                 if t <= config.T and _on_step_grid(t, config.k))
+
+
 class Scenario:
     """A full problem description consumed by ``solver.run``."""
 
@@ -77,6 +90,11 @@ class Scenario:
         bad = [t for t in self.snapshot_times if not 0.0 <= t <= config.T]
         if bad:
             raise ValueError(f"snapshot times {bad} outside [0, T={config.T}]")
+        bad = [t for t in self.snapshot_times
+               if not _on_step_grid(t, config.k)]
+        if bad:
+            raise ValueError(f"snapshot times {bad} are not whole numbers of "
+                             f"time steps k={config.k}")
 
     def make_mesh(self):
         kind, arg = self.mesh_spec
@@ -252,10 +270,9 @@ def parse_config(path):
             p_dirichlet=b.get("p_dirichlet", bc.p_dirichlet),
         )
 
-    # built-in snapshot defaults shrink with an overridden horizon
-    default_snapshots = tuple(t for t in scenario.snapshot_times if t <= cfg.T)
     return Scenario(
         name, mesh_spec, initial, bc, cfg,
         output_dir=raw.get("output_dir", scenario.output_dir),
-        snapshot_times=raw.get("snapshots", default_snapshots),
+        snapshot_times=raw.get(
+            "snapshots", fitting_snapshots(scenario.snapshot_times, cfg)),
     )

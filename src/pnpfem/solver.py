@@ -141,14 +141,15 @@ class PoissonSolver:
     Pure-Neumann problems are compatible only for a balanced total charge;
     the residual charge mean is projected out of the right side (interpolated
     initial data balance only approximately) and the solution is shifted to
-    zero mean.  Dirichlet values are imposed strongly.
+    zero mean.  Dirichlet values are imposed strongly.  ``lumped`` is the
+    lumped mass vector.
     """
 
     def __init__(self, mesh, stiffness, lumped, bc,
                  electroneutrality_tol=ELECTRONEUTRALITY_TOL, linear_tol=1e-12):
         self.mesh = mesh
         self.stiffness = stiffness.tocsr()
-        self.d = diagnostics.diag_vector(lumped)
+        self.d = np.asarray(lumped, dtype=float)
         self.area = float(self.d.sum())
         self.electroneutrality_tol = electroneutrality_tol
         self.linear_tol = linear_tol
@@ -202,14 +203,6 @@ class PoissonSolver:
                 f"potential solve backward error {err:g} exceeds tolerance"
             )
         return phi
-
-
-def solve_poisson(rho_diff, bc, stiffness, lumped, mesh,
-                  electroneutrality_tol=ELECTRONEUTRALITY_TOL):
-    """One-shot potential solve; see ``PoissonSolver`` for the contract."""
-    solver = PoissonSolver(mesh, stiffness, lumped, bc,
-                           electroneutrality_tol=electroneutrality_tol)
-    return solver.solve(rho_diff)
 
 
 class Assemblies:
@@ -321,10 +314,10 @@ def _backward_error(A, x, b):
 
 
 def _solve_linear(mesh, A, b, linear_tol):
-    """Solve with the matrix whose P1-pattern values are ``A``."""
-    lu = spla.splu(mesh.csc(A))
+    """Solve with the CSR matrix ``A`` on the mesh's P1 pattern."""
+    lu = spla.splu(mesh.csc(A.data))
     x = lu.solve(b)
-    err = _backward_error(mesh.csr(A), x, b)
+    err = _backward_error(A, x, b)
     if not np.isfinite(err) or err > 1e3 * linear_tol:
         raise LinearSolveError(
             f"density solve backward error {err:g} exceeds tolerance")
@@ -332,129 +325,98 @@ def _solve_linear(mesh, A, b, linear_tol):
 
 
 class _StepContext:
-    """One time step's residual evaluation and linearized solves.
+    """One time step's per-iterate systems A(z) z = b(z), z = (p, n).
 
-    Every residual evaluation builds the coefficients at its iterate and
-    keeps them; a sweep from the same iterate, which is the usual case,
-    reuses them instead of building them again.
+    ``systems`` is the only description of either scheme.  The residual is
+    A(z) z - b(z) of the systems built at z, which it keeps, and a sweep
+    from z solves those same systems.
     """
 
     def __init__(self, state, config, asm):
         self.asm = asm
         self.config = config
-        self.p_old = state.p
-        self.n_old = state.n
-        self.k = config.k
-        self._built = None  # (p, n, phi, coefficients) of the last residual
+        self.k = k = config.k
+        self._kept = None  # (p, n, phi, systems) of the last residual
+        # step-constant parts of A and b: every matrix here is on the mesh's
+        # P1 pattern, so sums of matrices are sums of their values; dividing
+        # by k multiplies by 1/k, as scipy does for a sparse matrix
+        K = asm.stiffness.data
+        if config.algorithm == 1:
+            self._A_base = asm.mass.data * (1.0 / k) + K
+            self._b_old = (asm.mass @ state.p / k, asm.mass @ state.n / k)
+        else:
+            self._A_base = K.copy()
+            self._A_base[asm.mesh.diag_slots] += asm.d * (1.0 / k)
+            self._b_old = (asm.d * state.p / k, asm.d * state.n / k)
 
-    def _coefficients(self, p, n, phi):
-        asm, cfg = self.asm, self.config
-        mesh, stencil = asm.mesh, asm.stencil
-        a_p = compute_alpha(p, cfg.q, mesh, stencil)
-        a_n = compute_alpha(n, cfg.q, mesh, stencil)
+    def systems(self, p, n, phi):
+        """The two density systems with coefficients frozen at (p, n, phi).
+
+        Algorithm 1: (M/k + K +- G + B) x = M x_old / k, with the drift G
+        of phi.  Algorithm 2: (D/k + K + B) x = D x_old / k -+ v(x, phi),
+        with the edge transport v.  B is each species' stabilizer, + is the
+        cation sign, and pinned cation rows are identity rows.
+
+        Returns (A_p, b_p, A_n, b_n), each A a CSR matrix on the mesh's P1
+        pattern.
+        """
+        asm, cfg, k = self.asm, self.config, self.k
+        mesh, K = asm.mesh, asm.stiffness
+        a_p = compute_alpha(p, cfg.q, mesh, asm.stencil)
+        a_n = compute_alpha(n, cfg.q, mesh, asm.stencil)
+        b_p, b_n = self._b_old
         if cfg.algorithm == 1:
             G = assemble_drift(mesh, phi)
-            Bp = build_stabilizer_alg1(+1, self.k, a_p, mesh,
-                                       asm.mass, asm.stiffness, G)
-            Bn = build_stabilizer_alg1(-1, self.k, a_n, mesh,
-                                       asm.mass, asm.stiffness, G)
-            return G, Bp, Bn
-        Bp = build_stabilizer_alg2(+1, p, phi, a_p, asm.fns,
-                                   asm.stiffness, mesh)
-        Bn = build_stabilizer_alg2(-1, n, phi, a_n, asm.fns,
-                                   asm.stiffness, mesh)
-        vp = star_transport_vector(p, phi, asm.fns, asm.stiffness, mesh)
-        vn = star_transport_vector(n, phi, asm.fns, asm.stiffness, mesh)
-        return (vp, vn), Bp, Bn
+            Bp = build_stabilizer_alg1(+1, k, a_p, mesh, asm.mass, K, G)
+            Bn = build_stabilizer_alg1(-1, k, a_n, mesh, asm.mass, K, G)
+            A_p = self._A_base + G.data + Bp.matrix.data
+            A_n = self._A_base - G.data + Bn.matrix.data
+        else:
+            Bp = build_stabilizer_alg2(+1, p, phi, a_p, asm.fns, K, mesh)
+            Bn = build_stabilizer_alg2(-1, n, phi, a_n, asm.fns, K, mesh)
+            A_p = self._A_base + Bp.matrix.data
+            A_n = self._A_base + Bn.matrix.data
+            b_p = b_p - star_transport_vector(p, phi, asm.fns, K, mesh)
+            b_n = b_n + star_transport_vector(n, phi, asm.fns, K, mesh)
+        A_p, b_p = asm.impose_p_rows(A_p, b_p)
+        return mesh.csr(A_p), b_p, mesh.csr(A_n), b_n
 
     def residual_parts(self, p, n):
-        """Self-consistent residual: the potential is recomputed from (p, n)
-        and all coefficients are evaluated there, so the value vanishes only
-        at a true fixed point of the step."""
-        asm, cfg, k = self.asm, self.config, self.k
-        phi = asm.poisson.solve(p - n)
-        coefficients = self._coefficients(p, n, phi)
-        self._built = (p, n, phi, coefficients)
-        extra, Bp, Bn = coefficients
-        K = asm.stiffness
-        if cfg.algorithm == 1:
-            G = extra
-            r_p = asm.mass @ (p - self.p_old) / k + K @ p + G @ p + Bp.matrix @ p
-            r_n = asm.mass @ (n - self.n_old) / k + K @ n - G @ n + Bn.matrix @ n
-        else:
-            vp, vn = extra
-            r_p = asm.d * (p - self.p_old) / k + K @ p + vp + Bp.matrix @ p
-            r_n = asm.d * (n - self.n_old) / k + K @ n - vn + Bn.matrix @ n
-        if asm.p_fixed.size:
-            r_p[asm.p_fixed] = p[asm.p_fixed] - asm.p_fixed_values
-        return phi, _stack(r_p, r_n)
+        """Self-consistent residual A(z) z - b(z): the potential is
+        recomputed from (p, n) and the systems are built there, so the value
+        vanishes only at a true fixed point of the step."""
+        phi = self.asm.poisson.solve(p - n)
+        A_p, b_p, A_n, b_n = systems = self.systems(p, n, phi)
+        self._kept = (p, n, phi, systems)
+        return phi, _stack(A_p @ p - b_p, A_n @ n - b_n)
 
     def residual_norm(self, z):
         p, n = _unstack(z, self.asm.mesh.num_nodes)
         _, r = self.residual_parts(p, n)
         return float(np.abs(r).max())
 
-    def _built_at(self, p, n):
-        """What the last residual kept, if it was evaluated at (p, n)."""
-        built = self._built
-        if built is not None and np.array_equal(built[0], p) \
-                and np.array_equal(built[1], n):
-            return built
-        return None
+    @property
+    def phi(self):
+        """The potential of the last residual's iterate."""
+        return self._kept[2]
 
-    def cached_phi(self, z):
+    def linearized_solve(self, z):
+        """One block sweep: solve the systems built at the iterate z."""
         p, n = _unstack(z, self.asm.mesh.num_nodes)
-        if self._built_at(p, n) is None:
+        kept = self._kept
+        if kept is None or not (np.array_equal(kept[0], p)
+                                and np.array_equal(kept[1], n)):
             self.residual_parts(p, n)
-        return self._built[2]
-
-    def systems(self, p, n, phi):
-        """The two density systems with coefficients frozen at (p, n, phi).
-
-        Returns (A_p, b_p, A_n, b_n); each A holds the values of the system
-        matrix on the mesh's P1 pattern.
-        """
-        asm, cfg, k = self.asm, self.config, self.k
-        built = self._built_at(p, n)
-        if built is not None and np.array_equal(built[2], phi):
-            extra, Bp, Bn = built[3]
-        else:
-            extra, Bp, Bn = self._coefficients(p, n, phi)
-        # every matrix here is on the mesh's P1 pattern, so sums of matrices
-        # are sums of their values; dividing by k multiplies by 1/k, as
-        # scipy does for a sparse matrix
-        K = asm.stiffness.data
-        if cfg.algorithm == 1:
-            G = extra.data
-            Mk_K = asm.mass.data * (1.0 / k) + K
-            A_p = Mk_K + G + Bp.matrix.data
-            A_n = Mk_K - G + Bn.matrix.data
-            b_p = asm.mass @ self.p_old / k
-            b_n = asm.mass @ self.n_old / k
-        else:
-            vp, vn = extra
-            Dk_K = K.copy()
-            Dk_K[asm.mesh.diag_slots] += asm.d * (1.0 / k)
-            A_p = Dk_K + Bp.matrix.data
-            A_n = Dk_K + Bn.matrix.data
-            b_p = asm.d * self.p_old / k - vp
-            b_n = asm.d * self.n_old / k + vn
-        A_p, b_p = asm.impose_p_rows(A_p, b_p)
-        return A_p, b_p, A_n, b_n
-
-    def linearized_solve(self, p_i, n_i, phi_i):
-        """One block sweep with coefficients frozen at the given iterate."""
-        A_p, b_p, A_n, b_n = self.systems(p_i, n_i, phi_i)
+        A_p, b_p, A_n, b_n = self._kept[3]
         mesh, tol = self.asm.mesh, self.config.linear_tol
-        return (_solve_linear(mesh, A_p, b_p, tol),
-                _solve_linear(mesh, A_n, b_n, tol))
+        return _stack(_solve_linear(mesh, A_p, b_p, tol),
+                      _solve_linear(mesh, A_n, b_n, tol))
 
 
 def _picard_step(state, config, bc, asm):
     ctx = _StepContext(state, config, asm)
     n_nodes = asm.mesh.num_nodes
     z = _stack(state.p, state.n)
-    phi_i = state.phi.copy()
     res = ctx.residual_norm(z)
     history = [res]
 
@@ -468,11 +430,9 @@ def _picard_step(state, config, bc, asm):
     # the best iterate instead of aborting the run.
     jam_res = None
     best_res, best_it = res, 0
-    best = (z.copy(), phi_i.copy())
+    best = (z, ctx.phi)
     for it in range(1, config.picard_max_iters + 1):
-        p_i, n_i = _unstack(z, n_nodes)
-        p_star, n_star = ctx.linearized_solve(p_i, n_i, phi_i)
-        candidate = _stack(p_star, n_star)
+        candidate = ctx.linearized_solve(z)
         if jam_res is not None:
             z_new = z + config.shrink * (candidate - z)
             res = ctx.residual_norm(z_new)
@@ -489,17 +449,17 @@ def _picard_step(state, config, bc, asm):
                 jam_res = history[-1]
                 z_new = z + config.shrink * (candidate - z)
                 res = ctx.residual_norm(z_new)
+        # each branch above ends with the residual kept at z_new
         increment = float(np.sqrt(diagnostics.dot(z_new - z, z_new - z)))
-        phi_i = ctx.cached_phi(z_new)
         z = z_new
         history.append(res)
         if res < best_res:
             best_res, best_it = res, it
-            best = (z.copy(), phi_i.copy())
+            best = (z, ctx.phi)
         if res <= config.picard_residual_tol \
                 or increment <= config.picard_increment_tol:
             p_new, n_new = _unstack(z, n_nodes)
-            new_state = State(p_new, n_new, phi_i, state.t + config.k)
+            new_state = State(p_new, n_new, ctx.phi, state.t + config.k)
             return new_state, it, history
         if config.stagnation_window and \
                 it - best_it >= config.stagnation_window:
@@ -607,8 +567,8 @@ def run(scenario, on_step=None):
 
     ``on_step(step_index, state)`` is invoked for the initial state (index 0)
     and after every accepted step.  Step failures abort the run; the raised
-    ``StepError`` carries the partial ``RunResult`` on its ``partial``
-    attribute so outputs can be flushed.
+    ``StepError`` or ``LinearSolveError`` carries the partial ``RunResult``
+    on its ``partial`` attribute so outputs can be flushed.
     """
     mesh = scenario.make_mesh()
     stencil = meshmod.build_sym_stencils(mesh)
@@ -659,7 +619,7 @@ def run(scenario, on_step=None):
     for m in range(1, nsteps + 1):
         try:
             state, iters, _history = step(state, config, scenario.bc, asm)
-        except StepError as err:
+        except (StepError, LinearSolveError) as err:
             err.partial = RunResult(reports, initial_report, state, mesh, asm,
                                     (lo, hi), in_force)
             raise

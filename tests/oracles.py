@@ -252,6 +252,33 @@ def coo_pinned_rows(A, fixed):
                                                        format="csr")
 
 
+def coo_residual(algorithm, k, mesh, fns, p_old, n_old, p, n, phi,
+                 alpha_p, alpha_n, fixed, fixed_values):
+    """One step's residual of either scheme, summed term by term.
+
+    Algorithm 1: M (x - x_old)/k + K x +- G x + B x; algorithm 2:
+    D (x - x_old)/k + K x +- v(x) + B x, with D the row sums of M and v the
+    edge transport; + for the cations.  Pinned cation rows give p - value.
+    Returns ((r_p, r_n), terms) with every summand listed in ``terms``.
+    """
+    M, K = coo_mass(mesh), coo_stiffness(mesh)
+    G = coo_drift(mesh, phi)
+    d = np.asarray(M.sum(axis=1)).ravel()
+    parts = []
+    for sign, x, x_old, alpha in ((+1, p, p_old, alpha_p),
+                                  (-1, n, n_old, alpha_n)):
+        if algorithm == 1:
+            B = coo_stabilizer_alg1(sign, k, alpha, mesh, M, K, G)
+            parts.append([M @ (x - x_old) / k, K @ x, sign * (G @ x), B @ x])
+        else:
+            B = coo_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh)
+            v = coo_star_transport_vector(x, phi, fns, K, mesh)
+            parts.append([d * (x - x_old) / k, K @ x, sign * v, B @ x])
+    r_p, r_n = (sum(terms) for terms in parts)
+    r_p[fixed] = p[fixed] - fixed_values
+    return (r_p, r_n), parts[0] + parts[1]
+
+
 def jittered_delaunay_mesh(n, jitter, seed):
     """Delaunay triangulation of an (n+1) x (n+1) grid of the unit square
     whose interior points are moved by up to ``jitter`` cells."""

@@ -14,6 +14,7 @@ from pnpfem import (
     write_vtk_mesh,
     write_vtk_snapshot,
 )
+from pnpfem import diagnostics
 from pnpfem.cli import main as cli_main
 from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
 from pnpfem.scenarios import ConfigError
@@ -116,6 +117,12 @@ class TestParseConfig:
         assert np.all(p0 == 1.0)
         assert np.all(n0 == 1.0)
 
+    def test_snapshot_off_step_grid_rejected(self, tmp_path):
+        path = self._write(tmp_path, {"scenario": "smooth", "k": 0.01,
+                                      "T": 0.05, "snapshots": [0.015]})
+        with pytest.raises(ValueError, match="time steps"):
+            parse_config(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")
@@ -215,3 +222,39 @@ class TestCli:
     def test_seed_flag_accepted(self, tmp_path):
         cfg = self._neutral_config(tmp_path)
         assert cli_main(["--config", cfg, "--seed", "7"]) == 0
+
+    def test_negative_horizon_is_usage_error(self, tmp_path, capsys):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--T", "-1"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshot_beyond_horizon_is_usage_error(self, tmp_path, capsys):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--snapshots", "5"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshot_off_step_grid_is_usage_error(self, tmp_path, capsys):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--snapshots", "0.015"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_linear_solve_failure_writes_partial_outputs(
+            self, tmp_path, monkeypatch, capsys):
+        import pnpfem.solver as solver
+        from pnpfem import LinearSolveError
+        solve, calls = solver._solve_linear, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise LinearSolveError("planted failure")
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "_solve_linear", failing)
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg]) == 3
+        assert "planted failure" in capsys.readouterr().err
+        # the neutral state takes one sweep (two solves) per step, so the
+        # fifth solve fails in step 3, after steps 1 and 2
+        rows = diagnostics.read_csv(tmp_path / "out" / "diagnostics.csv")
+        assert [r.t for r in rows] == pytest.approx([0.0, 0.01, 0.02])

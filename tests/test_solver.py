@@ -7,6 +7,7 @@ from pnpfem import (
     Assemblies,
     BoundarySpec,
     ElectroneutralityError,
+    PoissonSolver,
     Scenario,
     SolverConfig,
     State,
@@ -18,7 +19,6 @@ from pnpfem import (
     picard_step_alg1,
     picard_step_alg2,
     run,
-    solve_poisson,
 )
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
 from pnpfem.mesh import BOTTOM, TOP
@@ -45,8 +45,8 @@ class TestPoisson:
     def test_balanced_charge_gives_zero_potential(self, square8):
         K = assemble_stiffness(square8)
         d = lumped_mass_vector(square8)
-        phi = solve_poisson(np.zeros(square8.num_nodes), BoundarySpec(), K, d,
-                            square8)
+        phi = PoissonSolver(square8, K, d, BoundarySpec()).solve(
+            np.zeros(square8.num_nodes))
         assert np.abs(phi).max() == 0.0
 
     def test_zero_mean_and_equation(self, square8, rng):
@@ -54,7 +54,7 @@ class TestPoisson:
         d = lumped_mass_vector(square8)
         rho = rng.normal(size=square8.num_nodes)
         rho -= (d @ rho) / d.sum()
-        phi = solve_poisson(rho, BoundarySpec(), K, d, square8)
+        phi = PoissonSolver(square8, K, d, BoundarySpec()).solve(rho)
         assert d @ phi == pytest.approx(0.0, abs=1e-10)
         assert np.abs(K @ phi - d * rho).max() < 1e-11
 
@@ -64,24 +64,24 @@ class TestPoisson:
         p = rng.uniform(1.0, 2.0, size=square8.num_nodes)
         n = p + rng.normal(scale=0.1, size=square8.num_nodes)
         n -= (d @ (n - p)) / d.sum()
-        base = solve_poisson(p - n, BoundarySpec(), K, d, square8)
-        shifted = solve_poisson((p + 5.0) - (n + 5.0), BoundarySpec(), K, d,
-                                square8)
+        base = PoissonSolver(square8, K, d, BoundarySpec()).solve(p - n)
+        shifted = PoissonSolver(square8, K, d, BoundarySpec()).solve(
+            (p + 5.0) - (n + 5.0))
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_electroneutrality_violation_raises(self, square8):
         K = assemble_stiffness(square8)
         d = lumped_mass_vector(square8)
         with pytest.raises(ElectroneutralityError):
-            solve_poisson(np.ones(square8.num_nodes), BoundarySpec(), K, d,
-                          square8)
+            PoissonSolver(square8, K, d, BoundarySpec()).solve(
+                np.ones(square8.num_nodes))
 
     def test_dirichlet_matches_reduced_system_oracle(self):
         mesh = build_channel(0.5)
         K = assemble_stiffness(mesh)
         d = lumped_mass_vector(mesh)
         bc = BoundarySpec(phi_dirichlet={BOTTOM: -50.0, TOP: 50.0})
-        phi = solve_poisson(np.zeros(mesh.num_nodes), bc, K, d, mesh)
+        phi = PoissonSolver(mesh, K, d, bc).solve(np.zeros(mesh.num_nodes))
         # independent dense solve of the constrained system
         A = K.toarray().copy()
         b = np.zeros(mesh.num_nodes)
@@ -99,9 +99,9 @@ class TestPoisson:
         K = assemble_stiffness(square8)
         d = lumped_mass_vector(square8)
         with pytest.raises(ValueError, match="membrane"):
-            solve_poisson(np.zeros(square8.num_nodes),
-                          BoundarySpec(phi_dirichlet={"membrane": 1.0}),
-                          K, d, square8)
+            PoissonSolver(square8, K, d,
+                          BoundarySpec(phi_dirichlet={"membrane": 1.0})
+                          ).solve(np.zeros(square8.num_nodes))
 
 
 class TestBacktracking:
