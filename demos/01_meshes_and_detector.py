@@ -44,7 +44,7 @@ print("wrote channel_mesh.vtk")
 stencil = build_sym_stencils(square)
 i = 4 * 9 + 4                      # center node
 j = 5 * 9 + 4                      # +x neighbor
-p = square.pair_index(i, j)
+p = int(np.flatnonzero((square.pair_i == i) & (square.pair_j == j))[0])
 print(f"\npair ({i}, {j}): symmetric point {stencil.sym_points[p]}, "
       f"endpoint nodes {stencil.sym_nodes[p]}, weights "
       f"{stencil.sym_weights[p]}")

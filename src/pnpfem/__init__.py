@@ -25,16 +25,13 @@ from .fespace import (
     lumped_mass_vector,
     nodal_interpolate,
 )
-from .detector import compute_alpha, jump, mean
+from .detector import compute_alpha
 from .stabilizer import (
     EntropyFunctions,
     StabilizerMatrix,
     build_stabilizer_alg1,
     build_stabilizer_alg2,
     entropy_functions,
-    pair_fluxes_alg1,
-    pair_fluxes_alg2,
-    secant_slope,
     star_transport,
     star_transport_vector,
 )

@@ -133,7 +133,7 @@ def main(argv=None):
     csv_path = _write_outputs(outdir, result)
     ok = result.flags_ok()
     status = "ok" if ok else "invariant-violation"
-    print(f"{scenario.name}: {len(result.reports)} steps, "
+    print(f"{scenario.name}: {len(result.all_reports()) - 1} steps, "
           f"final t={result.state.t:g}, {status}; wrote {csv_path}")
     if not ok and not args.no_strict:
         return 1

@@ -12,30 +12,6 @@ import numpy as np
 DENOMINATOR_TOL = 1e-14
 
 
-def _pair_slopes(x, mesh, stencil):
-    """Per directed pair: (x_j - x_i)/r and (x_sym - x_i)/r_sym."""
-    x = np.asarray(x, dtype=float)
-    dxj = x[mesh.pair_j] - x[mesh.pair_i]
-    dxs = stencil.eval_at_sym(x) - x[mesh.pair_i]
-    return dxj / stencil.r_len, dxs / stencil.r_sym_len
-
-
-def jump(i, j, x, stencil):
-    """Directional slope jump of the pair (i, j): both slopes added."""
-    mesh = stencil.mesh
-    p = mesh.pair_index(i, j)
-    s1, s2 = _pair_slopes(x, mesh, stencil)
-    return float(s1[p] + s2[p])
-
-
-def mean(i, j, x, stencil):
-    """Directional slope mean of the pair (i, j): half-sum of magnitudes."""
-    mesh = stencil.mesh
-    p = mesh.pair_index(i, j)
-    s1, s2 = _pair_slopes(x, mesh, stencil)
-    return float(0.5 * (abs(s1[p]) + abs(s2[p])))
-
-
 def compute_alpha(x, q, mesh, stencil):
     """Detector values for a nodal field.
 
@@ -56,7 +32,12 @@ def compute_alpha(x, q, mesh, stencil):
     """
     if q <= 0:
         raise ValueError(f"detector exponent q must be positive, got {q}")
-    s1, s2 = _pair_slopes(x, mesh, stencil)
+    # per directed pair (i, j), the slopes s1 = (x_j - x_i)/r through j and
+    # s2 = (x_sym - x_i)/r_sym through its symmetric point: jump_ij = s1 + s2
+    # and 2 mean_ij = |s1| + |s2|
+    x = np.asarray(x, dtype=float)
+    s1 = (x[mesh.pair_j] - x[mesh.pair_i]) / stencil.r_len
+    s2 = (stencil.eval_at_sym(x) - x[mesh.pair_i]) / stencil.r_sym_len
     jumps = s1 + s2
     two_means = np.abs(s1) + np.abs(s2)
     ptr = mesh.pair_ptr

@@ -186,15 +186,6 @@ class Mesh:
         mask[boundary_edges.ravel()] = True
         self.boundary_mask = mask
 
-    def pair_index(self, i, j):
-        """Index of the directed pair (i, j) in the pair arrays."""
-        lo, hi = self.pair_ptr[i], self.pair_ptr[i + 1]
-        js = self.pair_j[lo:hi]
-        k = np.searchsorted(js, j)
-        if k == js.size or js[k] != j:
-            raise KeyError(f"node {j} is not a neighbor of node {i}")
-        return int(lo + k)
-
     @property
     def pattern_nnz(self):
         return self.pattern_indices.size

@@ -214,17 +214,18 @@ def parse_config(path):
     scenario = builtin_scenario(name, algorithm)
     cfg = scenario.config
 
-    def positive(key, value):
+    def positive(key, value, zero_ok=False):
         if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and value > 0):
-            raise ConfigError(f"{path}: key {key!r} must be a positive number, "
+                and (value > 0 or zero_ok and value == 0)):
+            kind = "nonnegative" if zero_ok else "positive"
+            raise ConfigError(f"{path}: key {key!r} must be a {kind} number, "
                               f"got {value!r}")
         return float(value)
 
     for key in ("k", "T", "q", "picard_residual_tol", "picard_increment_tol",
                 "linear_tol"):
         if key in raw:
-            setattr(cfg, key, positive(key, raw[key]))
+            setattr(cfg, key, positive(key, raw[key], zero_ok=key == "T"))
     if "picard_max_iters" in raw:
         cfg.picard_max_iters = int(positive("picard_max_iters",
                                             raw["picard_max_iters"]))

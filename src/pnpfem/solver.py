@@ -80,19 +80,24 @@ class SolverConfig:
                  shrink=0.5, max_halvings=30, stagnation_window=50):
         if algorithm not in (1, 2):
             raise ValueError(f"algorithm must be 1 or 2, got {algorithm}")
-        if k <= 0:
-            raise ValueError(f"time step k must be positive, got {k}")
-        if T < 0:
-            raise ValueError(f"final time T must be nonnegative, got {T}")
-        if q <= 0:
-            raise ValueError(f"detector exponent q must be positive, got {q}")
+        # the negated comparisons also reject nan
+        if not 0 < k < np.inf:
+            raise ValueError(f"time step k must be positive and finite, "
+                             f"got {k}")
+        if not 0 <= T < np.inf:
+            raise ValueError(f"final time T must be nonnegative and finite, "
+                             f"got {T}")
+        if not 0 < q < np.inf:
+            raise ValueError(f"detector exponent q must be positive and "
+                             f"finite, got {q}")
         for name, val in (
             ("picard_residual_tol", picard_residual_tol),
             ("picard_increment_tol", picard_increment_tol),
             ("linear_tol", linear_tol),
         ):
-            if val <= 0:
-                raise ValueError(f"{name} must be positive, got {val}")
+            if not 0 < val < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {val}")
         self.algorithm = algorithm
         self.k = float(k)
         self.T = float(T)
@@ -149,6 +154,7 @@ class PoissonSolver:
                  electroneutrality_tol=ELECTRONEUTRALITY_TOL, linear_tol=1e-12):
         self.mesh = mesh
         self.stiffness = stiffness.tocsr()
+        self._abs_stiffness = abs(self.stiffness)  # for the backward error
         self.d = np.asarray(lumped, dtype=float)
         self.area = float(self.d.sum())
         self.electroneutrality_tol = electroneutrality_tol
@@ -195,7 +201,7 @@ class PoissonSolver:
             rhs = b[self.free] - self._K_fc @ self.fixed_values
             phi[self.free] = self._lu.solve(rhs)
             resid = (self.stiffness @ phi - b)[self.free]
-        scale = float((abs(self.stiffness) @ np.abs(phi)).max(initial=0.0)
+        scale = float((self._abs_stiffness @ np.abs(phi)).max(initial=0.0)
                       + np.abs(b).max(initial=0.0))
         err = np.abs(resid).max(initial=0.0) / max(scale, 1.0)
         if not np.isfinite(err) or err > 1e3 * self.linear_tol:

@@ -153,6 +153,96 @@ def exhaustive_sym_point(mesh, i, j):
     return t, p0 + t * d
 
 
+# --- scalar reference formulas -----------------------------------------------
+# One pair or one value at a time, straight from the definitions.  The package
+# evaluates these quantities for every pair at once inside its operators
+# (``compute_alpha``, the stabilizers, ``star_transport_vector``).
+
+
+def pair_index(mesh, i, j):
+    """Index of the directed pair (i, j) in the mesh's pair arrays."""
+    hits = np.flatnonzero((mesh.pair_i == i) & (mesh.pair_j == j))
+    if hits.size != 1:
+        raise KeyError(f"node {j} is not a neighbor of node {i}")
+    return int(hits[0])
+
+
+def _pair_slopes(i, j, x, stencil):
+    """Slopes of x from node i through node j and through the symmetric
+    point of j."""
+    p = pair_index(stencil.mesh, i, j)
+    x = np.asarray(x, dtype=float)
+    (n1, n2), (w1, w2) = stencil.sym_nodes[p], stencil.sym_weights[p]
+    x_sym = w1 * x[n1] + w2 * x[n2]
+    return ((x[j] - x[i]) / stencil.r_len[p],
+            (x_sym - x[i]) / stencil.r_sym_len[p])
+
+
+def jump(i, j, x, stencil):
+    """Directional slope jump of the pair (i, j): both slopes added."""
+    s1, s2 = _pair_slopes(i, j, x, stencil)
+    return float(s1 + s2)
+
+
+def mean(i, j, x, stencil):
+    """Directional slope mean of the pair (i, j): half-sum of magnitudes."""
+    s1, s2 = _pair_slopes(i, j, x, stencil)
+    return float(0.5 * (abs(s1) + abs(s2)))
+
+
+def pair_fluxes_alg1(i, j, timestep, mass, stiffness, drift):
+    """(plus, minus) = M_ij/k + K_ij +- G_ij, the off-diagonal system
+    couplings of the directed pair (i, j) seen by the cation (+) and anion
+    (-) equations."""
+    if timestep <= 0:
+        raise ValueError(f"timestep must be positive, got {timestep}")
+    base = mass[i, j] / timestep + stiffness[i, j]
+    return float(base + drift[i, j]), float(base - drift[i, j])
+
+
+def secant_slope(i, j, x, fns):
+    """(x_j - x_i) / (dg(x_j) - dg(x_i)) for distinct values (x_j != x_i and
+    a nonzero dg difference), else max(x_i, epsilon)."""
+    xi, xj = float(x[i]), float(x[j])
+    ddg = float(fns.dg(xj) - fns.dg(xi))
+    if xj != xi and ddg != 0.0:
+        return (xj - xi) / ddg
+    return max(xi, fns.epsilon)
+
+
+def pair_fluxes_alg2(i, j, x, phi, fns, stiffness):
+    """Entropy-secant flux coefficients (plus, minus) of the directed pair
+    (i, j): zero for equal values, else
+    (1 +- dphi (1/(dg_j - dg_i) - max(x_i, eps)/(x_j - x_i))) K_ij."""
+    xi, xj = float(x[i]), float(x[j])
+    ddg = float(fns.dg(xj) - fns.dg(xi))
+    if xj == xi or ddg == 0.0:
+        return 0.0, 0.0
+    bracket = (phi[j] - phi[i]) * (1.0 / ddg - max(xi, fns.epsilon)
+                                   / (xj - xi))
+    kij = stiffness[i, j]
+    return float((1.0 + bracket) * kij), float((1.0 - bracket) * kij)
+
+
+def _nonnegative(s):
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise ValueError("entropy density requires nonnegative arguments")
+    return s
+
+
+def dg0(s):
+    """Exact entropy derivative log s, for nonnegative s."""
+    with np.errstate(divide="ignore"):
+        return np.log(_nonnegative(s))
+
+
+def d2g0(s):
+    """Exact entropy second derivative 1/s, for nonnegative s."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / _nonnegative(s)
+
+
 # --- general sparse assembly -------------------------------------------------
 # The package writes every operator straight into the values of one CSR
 # pattern per mesh.  These are the same operators built the general way:

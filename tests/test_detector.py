@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pnpfem import build_sym_stencils, build_unit_square, compute_alpha, jump, mean
+from pnpfem import build_sym_stencils, build_unit_square, compute_alpha
+
+from oracles import jump, mean
 
 
 @pytest.fixture(scope="module")

@@ -113,7 +113,7 @@ class TestSymmetricStencil:
         # interior node: (4,4) in grid coords
         i = 4 * 9 + 4
         j = 5 * 9 + 4  # +x neighbor
-        p = m.pair_index(i, j)
+        p = oracles.pair_index(m, i, j)
         opposite = 3 * 9 + 4
         w = st.sym_weights[p]
         nodes = st.sym_nodes[p]
@@ -148,7 +148,7 @@ class TestSymmetricStencil:
         st = build_sym_stencils(m)
         i = 1 * 4 + 1  # interior node of the n=3 grid
         j = 2 * 4 + 2  # +x+y diagonal neighbor
-        p = m.pair_index(i, j)
+        p = oracles.pair_index(m, i, j)
         assert st.r_sym_len[p] > 0
         hit = oracles.exhaustive_sym_point(m, i, j)
         assert hit is not None
@@ -178,7 +178,7 @@ class TestSymmetricStencil:
         diag = m.pair_j[m.pair_ptr[corner]:m.pair_ptr[corner + 1]]
         found = False
         for j in diag:
-            p = m.pair_index(corner, int(j))
+            p = oracles.pair_index(m, corner, int(j))
             if st.one_sided[p]:
                 found = True
                 assert st.r_sym_len[p] == st.r_len[p]

@@ -132,9 +132,30 @@ def test_stabilizer_alg1(case, sign):
         sign, 0.01, alpha, mesh, M, K, G))
 
 
+def _with_underflowing_pairs(case):
+    """The case's x with nodes 4m at 1e3 and nodes 4m + 1 at the next double
+    above: adjacent such pairs differ in x but not in dg(x) = log x, so they
+    take the equal-value branch of the secant."""
+    x = case["x"].copy()
+    x[::4] = 1e3
+    x[1::4] = np.nextafter(1e3, 2e3)
+    mesh = case["mesh"]
+    _, _, dx, ddg, distinct = oracles._secants(x, case["fns"], mesh.edge_i,
+                                               mesh.edge_j)
+    assert np.any((dx != 0.0) & (ddg == 0.0)) and np.any(distinct)
+    return x
+
+
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_stabilizer_alg2(case, sign):
     mesh, K, x, phi = case["mesh"], case["K"], case["x"], case["phi"]
+    alpha = compute_alpha(x, 2.0, mesh, case["stencil"])
+    B = build_stabilizer_alg2(sign, x, phi, alpha, case["fns"], K, mesh)
+    expected = oracles.coo_stabilizer_alg2(sign, x, phi, alpha, case["fns"],
+                                           K, mesh)
+    assert abs(expected).max() > 0.0
+    assert _close(B.matrix, expected)
+    x = _with_underflowing_pairs(case)
     alpha = compute_alpha(x, 2.0, mesh, case["stencil"])
     B = build_stabilizer_alg2(sign, x, phi, alpha, case["fns"], K, mesh)
     expected = oracles.coo_stabilizer_alg2(sign, x, phi, alpha, case["fns"],
@@ -147,6 +168,10 @@ def test_star_transport_vector(case):
     mesh, K, x, phi = case["mesh"], case["K"], case["x"], case["phi"]
     x = x.copy()
     x[1::2] = x[:-1:2]  # equal-valued pairs take the other branch
+    got = star_transport_vector(x, phi, case["fns"], K, mesh)
+    expected = oracles.coo_star_transport_vector(x, phi, case["fns"], K, mesh)
+    assert _close(got, expected)
+    x = _with_underflowing_pairs(case)
     got = star_transport_vector(x, phi, case["fns"], K, mesh)
     expected = oracles.coo_star_transport_vector(x, phi, case["fns"], K, mesh)
     assert _close(got, expected)

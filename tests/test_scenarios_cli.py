@@ -102,6 +102,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'k'"):
             parse_config(path)
 
+    def test_zero_horizon_accepted(self, tmp_path):
+        path = self._write(tmp_path, {"scenario": "smooth", "T": 0})
+        sc = parse_config(path)
+        assert sc.config.T == 0.0
+        assert sc.snapshot_times == ()
+
     def test_detector_exponent_override(self, tmp_path):
         path = self._write(tmp_path, {"scenario": "smooth", "q": 1.0})
         assert parse_config(path).config.q == 1.0
@@ -236,6 +242,27 @@ class TestCli:
     def test_snapshot_off_step_grid_is_usage_error(self, tmp_path, capsys):
         cfg = self._neutral_config(tmp_path)
         assert cli_main(["--config", cfg, "--snapshots", "0.015"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_horizon_runs_no_step(self, tmp_path, capsys):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--T", "0"]) == 0
+        assert "smooth: 0 steps" in capsys.readouterr().out
+        rows = diagnostics.read_csv(tmp_path / "out" / "diagnostics.csv")
+        assert [r.t for r in rows] == [0.0]
+
+    def test_zero_horizon_config_runs(self, tmp_path, capsys):
+        cfg = self._neutral_config(tmp_path, T=0)
+        assert cli_main(["--config", cfg]) == 0
+        assert "smooth: 0 steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--T", "inf"), ("--k", "inf"), ("--k", "nan")])
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                            value):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_linear_solve_failure_writes_partial_outputs(

