@@ -47,7 +47,6 @@ from .solver import (
     StepError,
     backtracking_search,
     epsilon_for_scenario,
-    epsilon_from_initial,
     picard_step_alg1,
     picard_step_alg2,
     run,

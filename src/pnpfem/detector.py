@@ -43,10 +43,8 @@ def compute_alpha(x, q, mesh, stencil):
     ptr = mesh.pair_ptr
     num = np.abs(np.add.reduceat(jumps, ptr[:-1]))
     den = np.add.reduceat(two_means, ptr[:-1])
-    # reduceat on an empty group returns the next element; guard isolated nodes
-    empty = ptr[:-1] == ptr[1:]
     alpha = np.zeros(mesh.num_nodes)
-    ok = (den > DENOMINATOR_TOL) & ~empty
+    ok = den > DENOMINATOR_TOL
     ratio = np.clip(num[ok] / den[ok], 0.0, 1.0)
     alpha[ok] = ratio**q
     return alpha

@@ -17,6 +17,8 @@ OTHER_BOUNDARY = "other_boundary"
 
 BOUNDARY_TAGS = (BOTTOM, TOP, MEMBRANE, OTHER_BOUNDARY)
 
+ACUTENESS_TOL = 1e-14
+
 
 class StencilError(RuntimeError):
     """Raised when a symmetric point cannot be constructed for a node pair."""
@@ -34,7 +36,8 @@ class Mesh:
     nodes : (N, 2) array
         Node coordinates.
     elements : (M, 3) int array
-        Node indices per triangle, counterclockwise.
+        Node indices per triangle, counterclockwise.  Every node must belong
+        to an element.
     boundary_tags : (N,) array of str, optional
         Tag per node; interior nodes must carry ``"interior"``.  If omitted,
         all boundary nodes are tagged ``"other_boundary"``.
@@ -73,6 +76,10 @@ class Mesh:
             raise ValueError("nodes must be an (N, 2) array")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be an (M, 3) array")
+        uses = np.bincount(self.elements.ravel(), minlength=self.num_nodes)
+        if not uses.all():
+            raise ValueError(f"node {int(np.argmin(uses))} belongs to no "
+                             f"element")
 
         p0 = self.nodes[self.elements[:, 0]]
         p1 = self.nodes[self.elements[:, 1]]
@@ -100,7 +107,6 @@ class Mesh:
             self.gradients[:, a, 1] = e[:, 0] / two_a
 
         self._build_adjacency()
-        self._find_boundary()
 
         if boundary_tags is None:
             tags = np.full(self.num_nodes, INTERIOR, dtype=object)
@@ -169,22 +175,10 @@ class Mesh:
         self.edge_slots_t = self.transpose_slots[self.edge_slots]
         self.edge_ends = np.concatenate([self.edge_i, self.edge_j])
 
-    def _find_boundary(self):
-        tri = self.elements
-        e = np.concatenate(
-            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0
-        )
-        e_sorted = np.sort(e, axis=1)
-        _, inv, counts = np.unique(
-            e_sorted, axis=0, return_inverse=True, return_counts=True
-        )
-        boundary_edges = e_sorted[counts[inv] == 1]
-        # deduplicate (each boundary edge appears once already, but be safe)
-        boundary_edges = np.unique(boundary_edges, axis=0)
-        self.boundary_edges = boundary_edges
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        mask[boundary_edges.ravel()] = True
-        self.boundary_mask = mask
+        # a boundary edge is one that only one element uses
+        one_element = np.bincount(slot)[self.edge_slots] == 1
+        self.boundary_mask = np.zeros(n, dtype=bool)
+        self.boundary_mask[self.edge_ends[np.tile(one_element, 2)]] = True
 
     @property
     def pattern_nnz(self):
@@ -210,10 +204,11 @@ class Mesh:
         A.eliminate_zeros()
         return A
 
-    def pattern_data(self, matrix):
-        """Values of a CSR matrix stored on this mesh's P1 pattern.
+    def edge_entries(self, matrix, transposed=False):
+        """Entries (i, j) of a CSR matrix on this mesh's P1 pattern at the
+        unordered edges i < j, or (j, i) when ``transposed``.
 
-        Raises ``ValueError`` for any other matrix: slot maps index its
+        Raises ``ValueError`` for any other matrix: the slot maps index its
         ``data`` directly.
         """
         if not (sp.issparse(matrix) and matrix.format == "csr"
@@ -221,13 +216,8 @@ class Mesh:
                 and np.array_equal(matrix.indptr, self.pattern_indptr)
                 and np.array_equal(matrix.indices, self.pattern_indices)):
             raise ValueError("matrix is not stored on the mesh's P1 pattern")
-        return matrix.data
-
-    def edge_entries(self, matrix, transposed=False):
-        """Entries (i, j) of a pattern matrix at the unordered edges i < j,
-        or (j, i) when ``transposed``."""
         slots = self.edge_slots_t if transposed else self.edge_slots
-        return self.pattern_data(matrix)[slots]
+        return matrix.data[slots]
 
     def nodes_with_tag(self, tag):
         """Indices of all nodes carrying the given boundary tag."""
@@ -497,7 +487,7 @@ class AcutenessReport:
         )
 
 
-def check_acuteness(mesh, stiffness, tol=1e-14):
+def check_acuteness(mesh, stiffness):
     """Check that all off-diagonal stiffness couplings are strictly negative.
 
     The mesh is strictly acute when (grad phi_i, grad phi_j) <= -c for every
@@ -507,4 +497,4 @@ def check_acuteness(mesh, stiffness, tol=1e-14):
     worst = int(np.argmax(vals))
     worst_pair = (int(mesh.edge_i[worst]), int(mesh.edge_j[worst]))
     max_entry = float(vals[worst])
-    return AcutenessReport(max_entry <= -tol, -max_entry, worst_pair)
+    return AcutenessReport(max_entry <= -ACUTENESS_TOL, -max_entry, worst_pair)

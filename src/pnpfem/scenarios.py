@@ -212,7 +212,6 @@ def parse_config(path):
     name = raw.get("scenario", "smooth")
     algorithm = int(raw.get("algorithm", 1))
     scenario = builtin_scenario(name, algorithm)
-    cfg = scenario.config
 
     def positive(key, value, zero_ok=False):
         if not (isinstance(value, (int, float)) and math.isfinite(value)
@@ -222,13 +221,17 @@ def parse_config(path):
                               f"got {value!r}")
         return float(value)
 
-    for key in ("k", "T", "q", "picard_residual_tol", "picard_increment_tol",
-                "linear_tol"):
-        if key in raw:
-            setattr(cfg, key, positive(key, raw[key], zero_ok=key == "T"))
+    overrides = {key: positive(key, raw[key], zero_ok=key == "T")
+                 for key in ("k", "T", "q", "picard_residual_tol",
+                             "picard_increment_tol", "linear_tol")
+                 if key in raw}
     if "picard_max_iters" in raw:
-        cfg.picard_max_iters = int(positive("picard_max_iters",
-                                            raw["picard_max_iters"]))
+        overrides["picard_max_iters"] = int(positive("picard_max_iters",
+                                                     raw["picard_max_iters"]))
+    try:
+        cfg = SolverConfig(**{**vars(scenario.config), **overrides})
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
     mesh_spec = scenario.mesh_spec
     if "mesh" in raw:

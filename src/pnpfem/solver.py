@@ -32,9 +32,15 @@ from . import diagnostics, mesh as meshmod
 
 EPSILON_FLOOR = 1e-8
 ELECTRONEUTRALITY_TOL = 1e-2
+POISSON_LINEAR_TOL = 1e-12
 DMP_TOL = 1e-10
 MASS_DRIFT_TOL = 1e-10
 ENTROPY_STEP_TOL = 1e-8
+# the Picard line search tries the step lengths shrink^j, j = 0..halvings; a
+# step whose best residual has not improved for the window keeps that iterate
+LINE_SEARCH_SHRINK = 0.5
+LINE_SEARCH_HALVINGS = 30
+STAGNATION_WINDOW = 50
 
 
 class ElectroneutralityError(ValueError):
@@ -69,15 +75,12 @@ class State:
 class SolverConfig:
     """Time stepping and nonlinear-iteration parameters.
 
-    ``stagnation_window``: the fixed-point loop gives up and keeps its best
-    iterate when the residual has not improved for this many iterations
-    (0 disables the exit and failures raise ``StepError``).
+    ``linear_tol`` bounds the backward error of the density solves.
     """
 
     def __init__(self, algorithm=1, k=1e-3, T=0.5, q=2.0,
                  picard_residual_tol=1e-6, picard_increment_tol=1e-16,
-                 picard_max_iters=400, linear_tol=1e-12,
-                 shrink=0.5, max_halvings=30, stagnation_window=50):
+                 picard_max_iters=400, linear_tol=1e-12):
         if algorithm not in (1, 2):
             raise ValueError(f"algorithm must be 1 or 2, got {algorithm}")
         # the negated comparisons also reject nan
@@ -87,6 +90,9 @@ class SolverConfig:
         if not 0 <= T < np.inf:
             raise ValueError(f"final time T must be nonnegative and finite, "
                              f"got {T}")
+        if not np.isfinite(T / k):
+            raise ValueError(f"the step count T / k must be finite, got "
+                             f"T={T:g}, k={k:g}")
         if not 0 < q < np.inf:
             raise ValueError(f"detector exponent q must be positive and "
                              f"finite, got {q}")
@@ -98,6 +104,9 @@ class SolverConfig:
             if not 0 < val < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {val}")
+        if not 1 <= picard_max_iters < np.inf:
+            raise ValueError(f"picard_max_iters must be finite and at least "
+                             f"1, got {picard_max_iters}")
         self.algorithm = algorithm
         self.k = float(k)
         self.T = float(T)
@@ -106,9 +115,6 @@ class SolverConfig:
         self.picard_increment_tol = float(picard_increment_tol)
         self.picard_max_iters = int(picard_max_iters)
         self.linear_tol = float(linear_tol)
-        self.shrink = float(shrink)
-        self.max_halvings = int(max_halvings)
-        self.stagnation_window = int(stagnation_window)
 
 
 class BoundarySpec:
@@ -150,61 +156,53 @@ class PoissonSolver:
     lumped mass vector.
     """
 
-    def __init__(self, mesh, stiffness, lumped, bc,
-                 electroneutrality_tol=ELECTRONEUTRALITY_TOL, linear_tol=1e-12):
+    def __init__(self, mesh, stiffness, lumped, bc):
         self.mesh = mesh
         self.stiffness = stiffness.tocsr()
         self._abs_stiffness = abs(self.stiffness)  # for the backward error
         self.d = np.asarray(lumped, dtype=float)
         self.area = float(self.d.sum())
-        self.electroneutrality_tol = electroneutrality_tol
-        self.linear_tol = linear_tol
 
         fixed, values = bc.tagged_nodes(mesh, bc.phi_dirichlet)
         self.pure_neumann = fixed.size == 0
-        self.fixed = fixed
-        self.fixed_values = values
-        n = mesh.num_nodes
         if self.pure_neumann:
             # ground node 0; the projected right side makes this consistent
-            free = np.arange(1, n)
-        else:
-            mask = np.ones(n, dtype=bool)
-            mask[fixed] = False
-            free = np.flatnonzero(mask)
-        self.free = free
+            fixed, values = np.zeros(1, dtype=np.int64), np.zeros(1)
+        self.fixed = fixed
+        self.fixed_values = values
+        mask = np.ones(mesh.num_nodes, dtype=bool)
+        mask[fixed] = False
+        self.free = free = np.flatnonzero(mask)
+        # the backward error covers the whole system when it is singular,
+        # else the rows that are solved for
+        self._checked_rows = slice(None) if self.pure_neumann else free
         K = self.stiffness
-        self._K_ff = K[free][:, free].tocsc()
-        self._lu = spla.splu(self._K_ff)
-        if not self.pure_neumann:
-            self._K_fc = K[free][:, fixed].tocsr()
+        self._lu = spla.splu(K[free][:, free].tocsc())
+        self._K_fc = K[free][:, fixed].tocsr()
 
     def solve(self, rho_diff):
         """Potential for a given charge difference p - n."""
         rho_diff = np.asarray(rho_diff, dtype=float)
         b = self.d * rho_diff
-        n = self.mesh.num_nodes
-        phi = np.zeros(n)
         if self.pure_neumann:
             total = b.sum()
-            if abs(total) > self.electroneutrality_tol * self.area:
+            if abs(total) > ELECTRONEUTRALITY_TOL * self.area:
                 raise ElectroneutralityError(
                     f"total charge {total:g} violates electroneutrality "
-                    f"(tolerance {self.electroneutrality_tol:g} x area)"
+                    f"(tolerance {ELECTRONEUTRALITY_TOL:g} x area)"
                 )
             b = b - (total / self.area) * self.d
-            phi[self.free] = self._lu.solve(b[self.free])
+        phi = np.zeros(self.mesh.num_nodes)
+        phi[self.fixed] = self.fixed_values
+        rhs = b[self.free] - self._K_fc @ self.fixed_values
+        phi[self.free] = self._lu.solve(rhs)
+        if self.pure_neumann:
             phi -= diagnostics.dot(self.d, phi) / self.area
-            resid = self.stiffness @ phi - b
-        else:
-            phi[self.fixed] = self.fixed_values
-            rhs = b[self.free] - self._K_fc @ self.fixed_values
-            phi[self.free] = self._lu.solve(rhs)
-            resid = (self.stiffness @ phi - b)[self.free]
+        resid = (self.stiffness @ phi - b)[self._checked_rows]
         scale = float((self._abs_stiffness @ np.abs(phi)).max(initial=0.0)
                       + np.abs(b).max(initial=0.0))
         err = np.abs(resid).max(initial=0.0) / max(scale, 1.0)
-        if not np.isfinite(err) or err > 1e3 * self.linear_tol:
+        if not np.isfinite(err) or err > 1e3 * POISSON_LINEAR_TOL:
             raise LinearSolveError(
                 f"potential solve backward error {err:g} exceeds tolerance"
             )
@@ -214,8 +212,7 @@ class PoissonSolver:
 class Assemblies:
     """Mesh-bound operators shared by every step of a run."""
 
-    def __init__(self, mesh, stencil, bc, fns,
-                 electroneutrality_tol=ELECTRONEUTRALITY_TOL):
+    def __init__(self, mesh, stencil, bc, fns):
         self.mesh = mesh
         self.stencil = stencil
         self.bc = bc
@@ -223,10 +220,7 @@ class Assemblies:
         self.mass = assemble_mass(mesh)
         self.d = lumped_mass_vector(mesh)
         self.stiffness = assemble_stiffness(mesh)
-        self.poisson = PoissonSolver(
-            mesh, self.stiffness, self.d, bc,
-            electroneutrality_tol=electroneutrality_tol,
-        )
+        self.poisson = PoissonSolver(mesh, self.stiffness, self.d, bc)
         self.p_fixed, self.p_fixed_values = bc.tagged_nodes(mesh, bc.p_dirichlet)
         rows = np.repeat(np.arange(mesh.num_nodes),
                          np.diff(mesh.pattern_indptr))
@@ -247,34 +241,29 @@ class Assemblies:
         return A, b
 
 
-def epsilon_from_initial(p0, n0, floor=EPSILON_FLOOR):
-    """Regularization threshold: half the smallest initial density, floored.
-
-    The half keeps the threshold strictly below the initial minimum whenever
-    that minimum is positive; saturated initial data can reach exactly zero
-    in floating point, hence the floor.
-    """
-    m = 0.5 * min(float(np.min(p0)), float(np.min(n0)))
-    return max(m, floor)
-
-
-def epsilon_for_scenario(p0, n0, bc, floor=EPSILON_FLOOR):
+def epsilon_for_scenario(p0, n0, bc):
     """Regularization threshold adapted to the boundary conditions.
 
     Isolated (pure-Neumann) runs keep the bounds of the initial data, so the
     threshold can sit below the initial minimum and the regularized branch
-    never activates.  Driven runs (any Dirichlet data) push densities below
-    the initial minimum toward zero; there the threshold must be tiny, or
-    the max(value, epsilon) floor of the transport secant keeps extracting
-    mass from an emptied wall node and makes it negative.
+    never activates: it is half the smallest initial density, which is
+    strictly below that minimum whenever the minimum is positive.  Driven
+    runs (any Dirichlet data) push densities below the initial minimum
+    toward zero; there the threshold must be tiny, or the max(value,
+    epsilon) floor of the transport secant keeps extracting mass from an
+    emptied wall node and makes it negative.  Both are floored, because
+    saturated initial data can reach exactly zero in floating point.
     """
     if bc.pure_neumann and not bc.p_dirichlet:
-        return epsilon_from_initial(p0, n0, floor)
-    return floor
+        m = 0.5 * min(float(np.min(p0)), float(np.min(n0)))
+        return max(m, EPSILON_FLOOR)
+    return EPSILON_FLOOR
 
 
-def backtracking_search(prev, candidate, residual_fn, shrink=0.5,
-                        max_halvings=30, prev_residual=None, good_enough=None):
+def backtracking_search(prev, candidate, residual_fn,
+                        shrink=LINE_SEARCH_SHRINK,
+                        max_halvings=LINE_SEARCH_HALVINGS,
+                        prev_residual=None, good_enough=None):
     """Damped update selection between a previous iterate and a candidate.
 
     Tries theta in {1, shrink, shrink^2, ...} and returns
@@ -440,20 +429,19 @@ def _picard_step(state, config, bc, asm):
     for it in range(1, config.picard_max_iters + 1):
         candidate = ctx.linearized_solve(z)
         if jam_res is not None:
-            z_new = z + config.shrink * (candidate - z)
+            z_new = z + LINE_SEARCH_SHRINK * (candidate - z)
             res = ctx.residual_norm(z_new)
             if res < jam_res:
                 jam_res = None
         else:
             z_new, _theta, res, no_decrease = backtracking_search(
                 z, candidate, ctx.residual_norm,
-                shrink=config.shrink, max_halvings=config.max_halvings,
                 prev_residual=history[-1],
                 good_enough=config.picard_residual_tol,
             )
             if no_decrease and not np.array_equal(candidate, z):
                 jam_res = history[-1]
-                z_new = z + config.shrink * (candidate - z)
+                z_new = z + LINE_SEARCH_SHRINK * (candidate - z)
                 res = ctx.residual_norm(z_new)
         # each branch above ends with the residual kept at z_new
         increment = float(np.sqrt(diagnostics.dot(z_new - z, z_new - z)))
@@ -467,8 +455,7 @@ def _picard_step(state, config, bc, asm):
             p_new, n_new = _unstack(z, n_nodes)
             new_state = State(p_new, n_new, ctx.phi, state.t + config.k)
             return new_state, it, history
-        if config.stagnation_window and \
-                it - best_it >= config.stagnation_window:
+        if it - best_it >= STAGNATION_WINDOW:
             z_best, phi_best = best
             p_new, n_new = _unstack(z_best, n_nodes)
             new_state = State(p_new, n_new, phi_best, state.t + config.k)
@@ -615,10 +602,6 @@ def run(scenario, on_step=None):
         on_step(0, state)
 
     nsteps = int(np.floor(config.T / config.k + 1e-9))
-    if nsteps == 0:
-        return RunResult([initial_report], initial_report, state, mesh, asm,
-                         (lo, hi), in_force)
-
     reports = []
     prev_entropy = initial_report.entropy
     step = picard_step_alg1 if config.algorithm == 1 else picard_step_alg2
@@ -635,5 +618,5 @@ def run(scenario, on_step=None):
         reports.append(rep)
         if on_step is not None:
             on_step(m, state)
-    return RunResult(reports, initial_report, state, mesh, asm, (lo, hi),
-                     in_force)
+    return RunResult(reports or [initial_report], initial_report, state, mesh,
+                     asm, (lo, hi), in_force)

@@ -387,3 +387,17 @@ def jittered_delaunay_mesh(n, jitter, seed):
     cw = ((b - a)[:, 0] * (c - a)[:, 1] - (b - a)[:, 1] * (c - a)[:, 0]) < 0
     tri[cw] = tri[cw][:, [0, 2, 1]]
     return Mesh(pts, tri)
+
+
+def boundary_mask(mesh):
+    """Nodes on an element edge that no other element shares, found by
+    counting each sorted element edge over all elements."""
+    tri = mesh.elements
+    edges = np.sort(
+        np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
+        axis=1)
+    _, inverse, counts = np.unique(edges, axis=0, return_inverse=True,
+                                   return_counts=True)
+    mask = np.zeros(mesh.num_nodes, dtype=bool)
+    mask[edges[counts[inverse.ravel()] == 1].ravel()] = True
+    return mask

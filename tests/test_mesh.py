@@ -107,6 +107,17 @@ class TestChannel:
             build_channel(0.3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: oracles.jittered_delaunay_mesh(10, 0.3, seed=7),
+    lambda: oracles.jittered_delaunay_mesh(12, 0.45, seed=3),
+    lambda: build_equilateral_strip(6, 5),
+    lambda: build_channel(0.25),
+], ids=["delaunay-10", "delaunay-12", "strip", "channel"])
+def test_boundary_mask_matches_element_edge_count(make):
+    m = make()
+    assert np.array_equal(m.boundary_mask, oracles.boundary_mask(m))
+
+
 class TestSymmetricStencil:
     def test_axis_pair_hits_opposite_neighbor(self, square8, square8_stencil):
         m, st = square8, square8_stencil
@@ -221,6 +232,11 @@ class TestMeshValidation:
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="area"):
             Mesh(nodes, np.array([[0, 2, 1]]))
+
+    def test_rejects_node_in_no_element(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="node 3 belongs to no element"):
+            Mesh(nodes, np.array([[0, 1, 2]]))
 
     def test_equilateral_strip_area(self):
         m = build_equilateral_strip(4, 4, side=0.25)

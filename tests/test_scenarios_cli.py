@@ -265,6 +265,20 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_step_count_flags_are_usage_error(self, tmp_path,
+                                                          capsys):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--T", "1e300", "--k", "1e-10"]) == 2
+        assert "T / k must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_step_count_config_is_usage_error(self, tmp_path,
+                                                           capsys):
+        cfg = self._neutral_config(tmp_path, T=1e300, k=1e-10)
+        assert cli_main(["--config", cfg]) == 2
+        assert "T / k must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_linear_solve_failure_writes_partial_outputs(
             self, tmp_path, monkeypatch, capsys):
         import pnpfem.solver as solver

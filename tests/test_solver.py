@@ -244,7 +244,6 @@ class TestSteps:
         sc.config.picard_residual_tol = 1e-300
         sc.config.picard_increment_tol = 1e-300
         sc.config.picard_max_iters = 3
-        sc.config.stagnation_window = 0
         mesh = sc.make_mesh()
         st = build_sym_stencils(mesh)
         p0, n0 = sc.initial_fields(mesh)
@@ -291,7 +290,6 @@ class TestRun:
         sc.config.picard_residual_tol = 1e-300
         sc.config.picard_increment_tol = 1e-300
         sc.config.picard_max_iters = 2
-        sc.config.stagnation_window = 0
         with pytest.raises(StepError) as err:
             run(sc)
         assert hasattr(err.value, "partial")
@@ -349,6 +347,14 @@ class TestConfigValidation:
     def test_rejects_non_finite_values(self, name, value):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
+
+    def test_rejects_overflowing_step_count(self):
+        with pytest.raises(ValueError, match="T / k must be finite"):
+            SolverConfig(k=1e-10, T=1e300)
+
+    def test_rejects_zero_picard_iterations(self):
+        with pytest.raises(ValueError, match="picard_max_iters"):
+            SolverConfig(picard_max_iters=0)
 
 
 class TestCoefficientReuse:
