@@ -76,6 +76,12 @@ class Mesh:
             raise ValueError("nodes must be an (N, 2) array")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be an (M, 3) array")
+        outside = (self.elements < 0) | (self.elements >= self.num_nodes)
+        if outside.any():
+            bad = int(np.flatnonzero(outside.any(axis=1))[0])
+            raise ValueError(f"element {bad} has node indices "
+                             f"{self.elements[bad].tolist()} outside "
+                             f"[0, {self.num_nodes})")
         uses = np.bincount(self.elements.ravel(), minlength=self.num_nodes)
         if not uses.all():
             raise ValueError(f"node {int(np.argmin(uses))} belongs to no "
@@ -189,20 +195,6 @@ class Mesh:
         n = self.num_nodes
         return sp.csr_matrix(
             (data, self.pattern_indices, self.pattern_indptr), shape=(n, n))
-
-    def csc(self, data):
-        """The matrix ``csr(data)`` in CSC form, with its zero values left out.
-
-        The pattern is structurally symmetric, so the CSC arrays are the CSR
-        ones and its values a fixed permutation of the CSR values.  Leaving
-        the zeros out gives a sparse LU the matrix's nonzero structure.
-        """
-        n = self.num_nodes
-        A = sp.csc_matrix(
-            (data[self.transpose_slots], self.pattern_indices.copy(),
-             self.pattern_indptr.copy()), shape=(n, n))
-        A.eliminate_zeros()
-        return A
 
     def edge_entries(self, matrix, transposed=False):
         """Entries (i, j) of a CSR matrix on this mesh's P1 pattern at the

@@ -209,10 +209,6 @@ def parse_config(path):
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
-    name = raw.get("scenario", "smooth")
-    algorithm = int(raw.get("algorithm", 1))
-    scenario = builtin_scenario(name, algorithm)
-
     def positive(key, value, zero_ok=False):
         if not (isinstance(value, (int, float)) and math.isfinite(value)
                 and (value > 0 or zero_ok and value == 0)):
@@ -221,13 +217,25 @@ def parse_config(path):
                               f"got {value!r}")
         return float(value)
 
+    def count(key, value):
+        whole = (isinstance(value, int) and not isinstance(value, bool)
+                 or isinstance(value, float) and value.is_integer())
+        if not (whole and value >= 1):
+            raise ConfigError(f"{path}: key {key!r} must be a positive whole "
+                              f"number, got {value!r}")
+        return int(value)
+
+    name = raw.get("scenario", "smooth")
+    algorithm = count("algorithm", raw.get("algorithm", 1))
+    scenario = builtin_scenario(name, algorithm)
+
     overrides = {key: positive(key, raw[key], zero_ok=key == "T")
                  for key in ("k", "T", "q", "picard_residual_tol",
                              "picard_increment_tol", "linear_tol")
                  if key in raw}
     if "picard_max_iters" in raw:
-        overrides["picard_max_iters"] = int(positive("picard_max_iters",
-                                                     raw["picard_max_iters"]))
+        overrides["picard_max_iters"] = count("picard_max_iters",
+                                              raw["picard_max_iters"])
     try:
         cfg = SolverConfig(**{**vars(scenario.config), **overrides})
     except ValueError as err:
@@ -241,7 +249,7 @@ def parse_config(path):
             raise ConfigError(f"{path}: unknown keys under 'mesh': "
                               f"{sorted(unknown)}")
         if "n" in m:
-            mesh_spec = ("square", int(positive("mesh.n", m["n"])))
+            mesh_spec = ("square", count("mesh.n", m["n"]))
         if "cell" in m:
             mesh_spec = ("channel", positive("mesh.cell", m["cell"]))
 

@@ -13,6 +13,7 @@ stabilization.
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .detector import compute_alpha
@@ -209,6 +210,63 @@ class PoissonSolver:
         return phi
 
 
+class SolvePlan:
+    """A fill-reducing solve of the matrices on a mesh's P1 pattern.
+
+    The pattern is fixed per mesh, so its symmetric ordering ``perm`` is
+    found once, from the structure alone, and each matrix is factored as
+    ``P A P^T`` with no further ordering: entry (i, j) of the permuted matrix
+    is ``A[perm[i], perm[j]]``.  Its CSC values are ``A.data[gather]`` on the
+    fixed ``indices`` and ``indptr``; explicit zeros stay in, so the symbolic
+    structure does not change between matrices.  SuperLU keeps its partial
+    pivoting.
+    """
+
+    _OPTIONS = dict(SymmetricMode=True)
+    _ORDERINGS = ("MMD_AT_PLUS_A", "COLAMD")
+
+    def __init__(self, mesh):
+        n = mesh.num_nodes
+        self.rows = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr))
+        self.cols = mesh.pattern_indices
+        # a diagonally dominant matrix on the pattern is nonsingular, and
+        # with diagonal pivots its ordering and fill depend on the structure
+        # alone; neither ordering wins on every mesh (minimum degree on the
+        # square, COLAMD on the channel), so the one with less fill is kept
+        data = np.full(mesh.pattern_nnz, -1.0)
+        data[mesh.diag_slots] = np.diff(mesh.pattern_indptr)
+        structure = mesh.csr(data).tocsc()
+
+        def fill_and_order(spec):
+            # the copy lets the factors go before the next ordering is tried
+            lu = spla.splu(structure, permc_spec=spec, options=self._OPTIONS)
+            return lu.nnz, lu.perm_c.copy()
+
+        _, new = min(map(fill_and_order, self._ORDERINGS),
+                     key=lambda fill_order: fill_order[0])
+        # new[i] is the permuted index of node i
+        self.perm = np.argsort(new)
+        # the permuted matrix's entries in CSC order: by column, then row
+        rows, cols = new[self.rows], new[self.cols]
+        self.gather = np.lexsort((rows, cols))
+        self.indices = rows[self.gather].astype(np.intc)
+        self.indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+
+    def factor(self, data):
+        """SuperLU factors of ``P A P^T`` for the values ``data`` of A."""
+        n = self.perm.size
+        M = sp.csc_matrix((data[self.gather], self.indices, self.indptr),
+                          shape=(n, n))
+        return spla.splu(M, permc_spec="NATURAL", options=self._OPTIONS)
+
+    def abs_matvec(self, data, x):
+        """|A| |x| for the values ``data`` of A on the pattern."""
+        return np.bincount(self.rows,
+                           weights=np.abs(data) * np.abs(x)[self.cols],
+                           minlength=self.perm.size)
+
+
 class Assemblies:
     """Mesh-bound operators shared by every step of a run."""
 
@@ -221,10 +279,10 @@ class Assemblies:
         self.d = lumped_mass_vector(mesh)
         self.stiffness = assemble_stiffness(mesh)
         self.poisson = PoissonSolver(mesh, self.stiffness, self.d, bc)
+        self.solve_plan = SolvePlan(mesh)
         self.p_fixed, self.p_fixed_values = bc.tagged_nodes(mesh, bc.p_dirichlet)
-        rows = np.repeat(np.arange(mesh.num_nodes),
-                         np.diff(mesh.pattern_indptr))
-        self._p_row_slots = np.flatnonzero(np.isin(rows, self.p_fixed))
+        self._p_row_slots = np.flatnonzero(np.isin(self.solve_plan.rows,
+                                                   self.p_fixed))
 
     def impose_p_rows(self, A, b):
         """Replace pinned cation rows by identity rows with the pinned value.
@@ -301,18 +359,18 @@ def _unstack(z, n_nodes):
     return z[:n_nodes], z[n_nodes:]
 
 
-def _backward_error(A, x, b):
-    resid = float(np.abs(A @ x - b).max(initial=0.0))
-    scale = float((abs(A) @ np.abs(x)).max(initial=0.0)
-                  + np.abs(b).max(initial=0.0))
-    return resid / max(scale, np.finfo(float).tiny)
-
-
-def _solve_linear(mesh, A, b, linear_tol):
+def _solve_linear(plan, A, b, linear_tol):
     """Solve with the CSR matrix ``A`` on the mesh's P1 pattern."""
-    lu = spla.splu(mesh.csc(A.data))
-    x = lu.solve(b)
-    err = _backward_error(A, x, b)
+    try:
+        lu = plan.factor(A.data)
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise LinearSolveError(f"density solve failed: {err}") from err
+    x = np.empty_like(b)
+    x[plan.perm] = lu.solve(b[plan.perm])
+    resid = float(np.abs(A @ x - b).max(initial=0.0))
+    scale = float(plan.abs_matvec(A.data, x).max(initial=0.0)
+                  + np.abs(b).max(initial=0.0))
+    err = resid / max(scale, np.finfo(float).tiny)
     if not np.isfinite(err) or err > 1e3 * linear_tol:
         raise LinearSolveError(
             f"density solve backward error {err:g} exceeds tolerance")
@@ -403,9 +461,9 @@ class _StepContext:
                                 and np.array_equal(kept[1], n)):
             self.residual_parts(p, n)
         A_p, b_p, A_n, b_n = self._kept[3]
-        mesh, tol = self.asm.mesh, self.config.linear_tol
-        return _stack(_solve_linear(mesh, A_p, b_p, tol),
-                      _solve_linear(mesh, A_n, b_n, tol))
+        plan, tol = self.asm.solve_plan, self.config.linear_tol
+        return _stack(_solve_linear(plan, A_p, b_p, tol),
+                      _solve_linear(plan, A_n, b_n, tol))
 
 
 def _picard_step(state, config, bc, asm):

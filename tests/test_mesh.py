@@ -238,6 +238,12 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="node 3 belongs to no element"):
             Mesh(nodes, np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_rejects_out_of_range_node_index(self, bad):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"element 1 .* outside \[0, 4\)"):
+            Mesh(nodes, np.array([[0, 1, 2], [1, 3, bad]]))
+
     def test_equilateral_strip_area(self):
         m = build_equilateral_strip(4, 4, side=0.25)
         expected = 32 * (np.sqrt(3.0) / 4.0) * 0.25**2

@@ -3,6 +3,7 @@ assembly (coordinate triplets, CSR fancy indexing, row-mask products)."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from pnpfem import (
     Assemblies,
@@ -22,7 +23,7 @@ from pnpfem import (
     star_transport_vector,
 )
 from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
-from pnpfem.solver import _StepContext
+from pnpfem.solver import _StepContext, _solve_linear
 
 import oracles
 
@@ -84,13 +85,42 @@ def test_pattern_is_the_node_adjacency(case):
     assert np.array_equal(cols[slots], np.repeat(tri[:, None, :], 3, axis=1))
 
 
-def test_csc_is_the_same_matrix_without_zeros(case):
-    mesh = case["mesh"]
-    data = np.random.default_rng(3).normal(size=mesh.pattern_nnz)
-    data[::5] = 0.0
-    A = mesh.csc(data)
-    assert A.format == "csc" and A.nnz == np.count_nonzero(data)
-    assert (A != mesh.csr(data)).nnz == 0
+# the channel with its membrane cation rows pinned, as in channel_selective
+PLAN_CASES = {
+    "square": (MESHES["square"], BoundarySpec()),
+    "channel": (MESHES["channel"],
+                BoundarySpec(phi_dirichlet={BOTTOM: -1.0, TOP: 1.0},
+                             p_dirichlet={MEMBRANE: 1.0})),
+    "delaunay": (MESHES["delaunay"], BoundarySpec()),
+}
+
+
+@pytest.mark.parametrize("where", sorted(PLAN_CASES))
+def test_solve_plan_against_spsolve(where):
+    make_mesh, bc = PLAN_CASES[where]
+    mesh = make_mesh()
+    asm = Assemblies(mesh, build_sym_stencils(mesh), bc,
+                     entropy_functions(1e-8))
+    plan, n = asm.solve_plan, mesh.num_nodes
+    assert np.array_equal(np.sort(plan.perm), np.arange(n))
+    # nonsymmetric values; a third of the diagonal is zero, so the
+    # factorization has to pivot off the diagonal
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=mesh.pattern_nnz)
+    data[mesh.diag_slots[::3]] = 0.0
+    data, b = asm.impose_p_rows(data, rng.normal(size=n))
+    assert (asm.p_fixed.size > 0) == (where == "channel")
+
+    expected = mesh.csr(data)[plan.perm][:, plan.perm].tocsc()
+    assert expected.nnz == mesh.pattern_nnz
+    assert np.array_equal(plan.indptr, expected.indptr)
+    assert np.array_equal(plan.indices, expected.indices)
+    assert np.array_equal(data[plan.gather], expected.data)
+
+    A = mesh.csr(data)
+    x = _solve_linear(plan, A, b, 1e-12)
+    x_ref = spla.spsolve(A.tocsc(), b)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
 def test_pattern_arrays_are_shared_read_only(case):

@@ -102,6 +102,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'k'"):
             parse_config(path)
 
+    def test_fractional_counts_rejected(self, tmp_path):
+        # each is named in turn, once the ones before it are made whole
+        payload = {"scenario": "smooth", "algorithm": 1.5, "mesh": {"n": 6.9},
+                   "picard_max_iters": 2.5}
+        for key, fix in (("algorithm", lambda: payload.update(algorithm=1)),
+                         ("picard_max_iters",
+                          lambda: payload.update(picard_max_iters=2)),
+                         ("mesh.n", lambda: payload.update(mesh={"n": 6}))):
+            with pytest.raises(ConfigError, match=f"'{key}'.*whole"):
+                parse_config(self._write(tmp_path, payload))
+            fix()
+        assert parse_config(self._write(tmp_path, payload)).mesh_spec == (
+            "square", 6)
+
+    def test_whole_valued_counts_accepted(self, tmp_path):
+        path = self._write(tmp_path, {
+            "scenario": "smooth", "algorithm": 2.0, "mesh": {"n": 6.0},
+            "picard_max_iters": 3})
+        sc = parse_config(path)
+        assert sc.config.algorithm == 2 and sc.mesh_spec == ("square", 6)
+        assert sc.config.picard_max_iters == 3
+
     def test_zero_horizon_accepted(self, tmp_path):
         path = self._write(tmp_path, {"scenario": "smooth", "T": 0})
         sc = parse_config(path)

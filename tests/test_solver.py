@@ -7,6 +7,7 @@ from pnpfem import (
     Assemblies,
     BoundarySpec,
     ElectroneutralityError,
+    LinearSolveError,
     PoissonSolver,
     Scenario,
     SolverConfig,
@@ -15,6 +16,7 @@ from pnpfem import (
     backtracking_search,
     build_channel,
     build_sym_stencils,
+    build_unit_square,
     entropy_functions,
     picard_step_alg1,
     picard_step_alg2,
@@ -23,6 +25,7 @@ from pnpfem import (
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
 from pnpfem.mesh import BOTTOM, TOP
 from pnpfem.scenarios import smooth_n0, smooth_p0
+from pnpfem.solver import SolvePlan, _solve_linear
 
 
 def uniform_scenario(algorithm, k=1e-2, T=0.05, n=8):
@@ -295,6 +298,25 @@ class TestRun:
         assert hasattr(err.value, "partial")
         assert err.value.partial.reports == []
 
+    def test_singular_density_system_carries_partial_result(self,
+                                                            monkeypatch):
+        # from step 3 on, the anion system has a zero row: a real singular
+        # matrix reaches the factorization
+        import pnpfem.solver as solver
+        systems, steps = solver._StepContext.systems, []
+
+        def with_zero_row(ctx, p, n, phi):
+            A_p, b_p, A_n, b_n = systems(ctx, p, n, phi)
+            if len(steps) > 2:
+                A_n.data[A_n.indptr[5]:A_n.indptr[6]] = 0.0
+            return A_p, b_p, A_n, b_n
+
+        monkeypatch.setattr(solver._StepContext, "systems", with_zero_row)
+        sc = uniform_scenario(1, k=0.01, T=0.05)
+        with pytest.raises(LinearSolveError, match="singular") as err:
+            run(sc, on_step=lambda m, s: steps.append(m))
+        assert len(err.value.partial.reports) == 2
+
     def test_on_step_callback_sees_every_state(self):
         seen = []
         sc = uniform_scenario(2, k=0.01, T=0.03)
@@ -355,6 +377,19 @@ class TestConfigValidation:
     def test_rejects_zero_picard_iterations(self):
         with pytest.raises(ValueError, match="picard_max_iters"):
             SolverConfig(picard_max_iters=0)
+
+
+class TestSolvePlan:
+    def test_singular_system_raises_linear_solve_error(self):
+        mesh = build_unit_square(4)
+        plan = SolvePlan(mesh)
+        data = np.full(mesh.pattern_nnz, -1.0)
+        data[mesh.diag_slots] = 8.0
+        data[mesh.pattern_indptr[7]:mesh.pattern_indptr[8]] = 0.0
+        with pytest.raises(LinearSolveError, match="singular") as err:
+            _solve_linear(plan, mesh.csr(data), np.ones(mesh.num_nodes),
+                          1e-12)
+        assert isinstance(err.value.__cause__, RuntimeError)
 
 
 class TestCoefficientReuse:
