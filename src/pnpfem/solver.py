@@ -2,14 +2,15 @@
 
 Each step runs a fixed-point (Picard) loop over the block system for the two
 ion densities and the electric potential.  Within one sweep the densities are
-solved with coefficients frozen at the previous iterate, a backtracking line
-search guards the density update, and the potential is recomputed from the
-accepted densities.  Algorithm 1 uses the consistent mass matrix, an implicit
-drift matrix and matrix-coupling stabilization; algorithm 2 uses the lumped
-mass, the explicit edge-based transport term and entropy-secant
-stabilization.
+solved with coefficients frozen at the previous iterate; Anderson mixing of
+the recent sweeps, or else a backtracking line search, picks the density
+update, and the potential is recomputed from the accepted densities.
+Algorithm 1 uses the consistent mass matrix, an implicit drift matrix and
+matrix-coupling stabilization; algorithm 2 uses the lumped mass, the
+explicit edge-based transport term and entropy-secant stabilization.
 """
 
+import numbers
 import warnings
 
 import numpy as np
@@ -42,6 +43,8 @@ ENTROPY_STEP_TOL = 1e-8
 LINE_SEARCH_SHRINK = 0.5
 LINE_SEARCH_HALVINGS = 30
 STAGNATION_WINDOW = 50
+# Anderson mixing uses up to this many differences of consecutive sweeps
+ANDERSON_DEPTH = 5
 
 
 class ElectroneutralityError(ValueError):
@@ -73,6 +76,16 @@ class State:
                 raise ValueError(f"non-finite values in state field {name}")
 
 
+def _whole(name, value):
+    """``value`` as an int; a bool, a fraction or a non-number is refused."""
+    whole = (isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 class SolverConfig:
     """Time stepping and nonlinear-iteration parameters.
 
@@ -82,6 +95,8 @@ class SolverConfig:
     def __init__(self, algorithm=1, k=1e-3, T=0.5, q=2.0,
                  picard_residual_tol=1e-6, picard_increment_tol=1e-16,
                  picard_max_iters=400, linear_tol=1e-12):
+        algorithm = _whole("algorithm", algorithm)
+        picard_max_iters = _whole("picard_max_iters", picard_max_iters)
         if algorithm not in (1, 2):
             raise ValueError(f"algorithm must be 1 or 2, got {algorithm}")
         # the negated comparisons also reject nan
@@ -105,16 +120,16 @@ class SolverConfig:
             if not 0 < val < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {val}")
-        if not 1 <= picard_max_iters < np.inf:
-            raise ValueError(f"picard_max_iters must be finite and at least "
-                             f"1, got {picard_max_iters}")
+        if picard_max_iters < 1:
+            raise ValueError(f"picard_max_iters must be at least 1, got "
+                             f"{picard_max_iters}")
         self.algorithm = algorithm
         self.k = float(k)
         self.T = float(T)
         self.q = float(q)
         self.picard_residual_tol = float(picard_residual_tol)
         self.picard_increment_tol = float(picard_increment_tol)
-        self.picard_max_iters = int(picard_max_iters)
+        self.picard_max_iters = picard_max_iters
         self.linear_tol = float(linear_tol)
 
 
@@ -351,6 +366,30 @@ def backtracking_search(prev, candidate, residual_fn,
     return trial, theta / shrink, r, True
 
 
+def _anderson_mix(pairs):
+    """Anderson mix of sweep pairs (z_j, G(z_j)), oldest first.
+
+    With f = G(z) - z and the differences dF, dG of consecutive pairs, the
+    mix is G(z_k) - dG gamma, where gamma minimizes ||f_k - dF gamma||_2
+    (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  On an affine map whose
+    dimension is at most the number of differences, it is the fixed point.
+    """
+    z, g = (np.array(column) for column in zip(*pairs))
+    f = g - z
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    return g[-1] - gamma @ np.diff(g, axis=0)
+
+
+def _admissible(z, bounds):
+    """Finite, and within ``bounds`` up to DMP_TOL unless they are None."""
+    if not np.all(np.isfinite(z)):
+        return False
+    if bounds is None:
+        return True
+    lo, hi = bounds
+    return bool(z.min() >= lo - DMP_TOL and z.max() <= hi + DMP_TOL)
+
+
 def _stack(p, n):
     return np.concatenate([p, n])
 
@@ -466,32 +505,58 @@ class _StepContext:
                       _solve_linear(plan, A_n, b_n, tol))
 
 
-def _picard_step(state, config, bc, asm):
+def _picard_step(state, config, bc, asm, bounds=None):
+    """One implicit step: the Picard loop from ``state``.
+
+    ``bounds`` is the (lo, hi) range that the discrete maximum principle
+    keeps the densities in, or None where it is not in force.
+
+    Returns (new_state, iterations, residual_history, reason, residual),
+    where ``reason`` is "converged" (residual tolerance met), "increment"
+    (increment tolerance met) or "stagnated" (no new best residual in
+    ``STAGNATION_WINDOW`` iterations; the best iterate is returned), and
+    ``residual`` is that of the returned state.
+    """
     ctx = _StepContext(state, config, asm)
     n_nodes = asm.mesh.num_nodes
     z = _stack(state.p, state.n)
     res = ctx.residual_norm(z)
     history = [res]
 
+    # Each sweep's pair (z, G(z)) joins the Anderson history, and the mix
+    # of that history is taken when it is finite, within the bounds and
+    # lowers the residual.  Otherwise the history restarts from the latest
+    # pair and a backtracking search between z and G(z) picks the iterate.
     # The residual is not monotone along the fixed-point path, so a strict
     # descent search can jam short of the tolerance, and the undamped map can
     # enter a two-cycle.  When the search jams, iterate with a constant
-    # relaxation factor (which breaks oscillatory cycles) until the residual
-    # falls below the jam level, then search again.  Near-flat density
-    # plateaus can pin the self-consistent residual at a noise floor (the
-    # detector reacts to roundoff ripples); the stagnation exit then keeps
-    # the best iterate instead of aborting the run.
+    # relaxation factor (which breaks oscillatory cycles), without mixing,
+    # until the residual falls below the jam level, then search again.
+    # Near-flat density plateaus can pin the self-consistent residual at a
+    # noise floor (the detector reacts to roundoff ripples); the stagnation
+    # exit then keeps the best iterate instead of aborting the run.
+    pairs = []
     jam_res = None
     best_res, best_it = res, 0
     best = (z, ctx.phi)
     for it in range(1, config.picard_max_iters + 1):
         candidate = ctx.linearized_solve(z)
+        pairs = pairs[-ANDERSON_DEPTH:] + [(z, candidate)]
+        z_new = None
         if jam_res is not None:
+            pairs = pairs[-1:]
             z_new = z + LINE_SEARCH_SHRINK * (candidate - z)
             res = ctx.residual_norm(z_new)
             if res < jam_res:
                 jam_res = None
-        else:
+        elif len(pairs) > 1:
+            mixed = _anderson_mix(pairs)
+            if _admissible(mixed, bounds):
+                res = ctx.residual_norm(mixed)
+                if res < history[-1]:
+                    z_new = mixed
+        if z_new is None:
+            pairs = pairs[-1:]
             z_new, _theta, res, no_decrease = backtracking_search(
                 z, candidate, ctx.residual_norm,
                 prev_residual=history[-1],
@@ -508,16 +573,17 @@ def _picard_step(state, config, bc, asm):
         if res < best_res:
             best_res, best_it = res, it
             best = (z, ctx.phi)
-        if res <= config.picard_residual_tol \
-                or increment <= config.picard_increment_tol:
-            p_new, n_new = _unstack(z, n_nodes)
-            new_state = State(p_new, n_new, ctx.phi, state.t + config.k)
-            return new_state, it, history
-        if it - best_it >= STAGNATION_WINDOW:
-            z_best, phi_best = best
-            p_new, n_new = _unstack(z_best, n_nodes)
-            new_state = State(p_new, n_new, phi_best, state.t + config.k)
-            return new_state, it, history
+        if res <= config.picard_residual_tol:
+            reason, phi = "converged", ctx.phi
+        elif increment <= config.picard_increment_tol:
+            reason, phi = "increment", ctx.phi
+        elif it - best_it >= STAGNATION_WINDOW:
+            reason, res, (z, phi) = "stagnated", best_res, best
+        else:
+            continue
+        p_new, n_new = _unstack(z, n_nodes)
+        new_state = State(p_new, n_new, phi, state.t + config.k)
+        return new_state, it, history, reason, res
     raise StepError(
         f"fixed-point loop failed at t={state.t + config.k:g}: "
         f"residual {history[-1]:g} after {len(history) - 1} iterations",
@@ -525,18 +591,20 @@ def _picard_step(state, config, bc, asm):
     )
 
 
-def picard_step_alg1(state, config, bc, asm):
-    """Advance one step with the consistent-mass, implicit-drift scheme."""
+def picard_step_alg1(state, config, bc, asm, bounds=None):
+    """Advance one step with the consistent-mass, implicit-drift scheme; see
+    ``_picard_step`` for ``bounds`` and the returned tuple."""
     if config.algorithm != 1:
         raise ValueError("config.algorithm must be 1")
-    return _picard_step(state, config, bc, asm)
+    return _picard_step(state, config, bc, asm, bounds)
 
 
-def picard_step_alg2(state, config, bc, asm):
-    """Advance one step with the lumped-mass, edge-transport scheme."""
+def picard_step_alg2(state, config, bc, asm, bounds=None):
+    """Advance one step with the lumped-mass, edge-transport scheme; see
+    ``_picard_step`` for ``bounds`` and the returned tuple."""
     if config.algorithm != 2:
         raise ValueError("config.algorithm must be 2")
-    return _picard_step(state, config, bc, asm)
+    return _picard_step(state, config, bc, asm, bounds)
 
 
 class RunResult:
@@ -545,11 +613,12 @@ class RunResult:
     ``reports`` has one entry per executed step (or the initial report alone
     when no step fits in [0, T]); ``initial_report`` is always available.
     ``in_force`` records which invariant flags the scenario's theory
-    guarantees, for strict exit checking.
+    guarantees, for strict exit checking.  ``stagnated_steps`` lists the
+    indices of the steps that ended at the stagnation exit.
     """
 
     def __init__(self, reports, initial_report, state, mesh, asm, bounds,
-                 in_force):
+                 in_force, stagnated_steps):
         self.reports = reports
         self.initial_report = initial_report
         self.state = state
@@ -557,6 +626,7 @@ class RunResult:
         self.assemblies = asm
         self.bounds = bounds
         self.in_force = in_force
+        self.stagnated_steps = list(stagnated_steps)
 
     def all_reports(self):
         if self.reports and self.reports[0] is self.initial_report:
@@ -617,7 +687,9 @@ def run(scenario, on_step=None):
     """Execute a scenario: build the problem, march in time, collect reports.
 
     ``on_step(step_index, state)`` is invoked for the initial state (index 0)
-    and after every accepted step.  Step failures abort the run; the raised
+    and after every accepted step.  A step that ends at the stagnation exit
+    is kept, listed on ``stagnated_steps`` and reported with a
+    ``RuntimeWarning``.  Step failures abort the run; the raised
     ``StepError`` or ``LinearSolveError`` carries the partial ``RunResult``
     on its ``partial`` attribute so outputs can be flushed.
     """
@@ -660,16 +732,27 @@ def run(scenario, on_step=None):
         on_step(0, state)
 
     nsteps = int(np.floor(config.T / config.k + 1e-9))
-    reports = []
+    reports, stagnated = [], []
     prev_entropy = initial_report.entropy
     step = picard_step_alg1 if config.algorithm == 1 else picard_step_alg2
+    dmp_bounds = (lo, hi) if in_force["dmp_ok"] else None
     for m in range(1, nsteps + 1):
         try:
-            state, iters, _history = step(state, config, scenario.bc, asm)
+            state, iters, _history, reason, res = step(
+                state, config, scenario.bc, asm, dmp_bounds)
         except (StepError, LinearSolveError) as err:
             err.partial = RunResult(reports, initial_report, state, mesh, asm,
-                                    (lo, hi), in_force)
+                                    (lo, hi), in_force, stagnated)
             raise
+        if reason == "stagnated":
+            stagnated.append(m)
+            warnings.warn(
+                f"step {m} (t={state.t:g}) stagnated after {iters} "
+                f"iterations at residual {res:g}, above "
+                f"picard_residual_tol={config.picard_residual_tol:g}; its "
+                f"best iterate is kept",
+                RuntimeWarning,
+            )
         rep = _make_report(state, asm, fns, (lo, hi), mass0, prev_entropy,
                            iters, smallness_ok)
         prev_entropy = rep.entropy
@@ -677,4 +760,4 @@ def run(scenario, on_step=None):
         if on_step is not None:
             on_step(m, state)
     return RunResult(reports or [initial_report], initial_report, state, mesh,
-                     asm, (lo, hi), in_force)
+                     asm, (lo, hi), in_force, stagnated)

@@ -273,6 +273,23 @@ class TestCli:
         rows = diagnostics.read_csv(tmp_path / "out" / "diagnostics.csv")
         assert [r.t for r in rows] == [0.0]
 
+    def test_summary_counts_stagnated_steps(self, tmp_path, capsys):
+        # the smooth data with an unreachable tolerance stagnate each step;
+        # the summary counts them and the flags still decide the exit code
+        path = tmp_path / "stagnating.json"
+        path.write_text(json.dumps({
+            "scenario": "smooth", "mesh": {"n": 12}, "k": 1e-3, "T": 2e-3,
+            "picard_residual_tol": 1e-300, "picard_increment_tol": 1e-300,
+            "picard_max_iters": 200, "output_dir": str(tmp_path / "out")}))
+        with pytest.warns(RuntimeWarning, match="stagnated"):
+            assert cli_main(["--config", str(path)]) == 0
+        assert "smooth: 2 steps (2 stagnated), final" in \
+            capsys.readouterr().out
+
+    def test_summary_omits_zero_stagnated_count(self, tmp_path, capsys):
+        assert cli_main(["--config", self._neutral_config(tmp_path)]) == 0
+        assert "stagnated" not in capsys.readouterr().out
+
     def test_zero_horizon_config_runs(self, tmp_path, capsys):
         cfg = self._neutral_config(tmp_path, T=0)
         assert cli_main(["--config", cfg]) == 0

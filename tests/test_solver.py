@@ -25,7 +25,15 @@ from pnpfem import (
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
 from pnpfem.mesh import BOTTOM, TOP
 from pnpfem.scenarios import smooth_n0, smooth_p0
-from pnpfem.solver import SolvePlan, _solve_linear
+from pnpfem.solver import (
+    ANDERSON_DEPTH,
+    DMP_TOL,
+    STAGNATION_WINDOW,
+    SolvePlan,
+    _anderson_mix,
+    _solve_linear,
+    epsilon_for_scenario,
+)
 
 
 def uniform_scenario(algorithm, k=1e-2, T=0.05, n=8):
@@ -42,6 +50,24 @@ def smooth_scenario(algorithm, k=1e-3, T=5e-3, n=12):
         "smooth-small", ("square", n), (smooth_p0, smooth_n0, "averaged"),
         BoundarySpec(), SolverConfig(algorithm=algorithm, k=k, T=T),
     )
+
+
+def first_state(sc):
+    """The assemblies and initial state of a scenario, as ``run`` builds
+    them, with the initial density range."""
+    mesh = sc.make_mesh()
+    p0, n0 = sc.initial_fields(mesh)
+    asm = Assemblies(mesh, build_sym_stencils(mesh), sc.bc,
+                     entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
+    bounds = (min(p0.min(), n0.min()), max(p0.max(), n0.max()))
+    return asm, State(p0, n0, asm.poisson.solve(p0 - n0), 0.0), bounds
+
+
+def unreachable_tolerance(sc, max_iters):
+    sc.config.picard_residual_tol = 1e-300
+    sc.config.picard_increment_tol = 1e-300
+    sc.config.picard_max_iters = max_iters
+    return sc
 
 
 class TestPoisson:
@@ -170,8 +196,8 @@ class TestSteps:
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(0.5))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist = step(state, sc.config, sc.bc, asm)
-        assert iters == 1
+        new, iters, hist, reason, _ = step(state, sc.config, sc.bc, asm)
+        assert iters == 1 and reason == "converged"
         assert np.abs(new.p - 1.0).max() < 1e-12
         assert np.abs(new.n - 1.0).max() < 1e-12
         assert np.abs(new.phi).max() < 1e-12
@@ -187,8 +213,9 @@ class TestSteps:
                          entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist = step(state, sc.config, sc.bc, asm)
+        new, iters, hist, reason, res = step(state, sc.config, sc.bc, asm)
         assert hist[-1] <= 1e-6
+        assert reason == "converged" and res == hist[-1]
 
     @pytest.mark.parametrize("algorithm", [1, 2])
     def test_mass_preserved_by_one_step(self, algorithm):
@@ -201,7 +228,7 @@ class TestSteps:
                          entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, _, _ = step(state, sc.config, sc.bc, asm)
+        new, *_ = step(state, sc.config, sc.bc, asm)
         assert asm.d @ new.p == pytest.approx(asm.d @ p0, rel=1e-11)
         assert asm.d @ new.n == pytest.approx(asm.d @ n0, rel=1e-11)
 
@@ -212,7 +239,7 @@ class TestSteps:
         p0, n0 = sc.initial_fields(mesh)
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(1e-8))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
-        new, iters, hist = picard_step_alg1(state, sc.config, sc.bc, asm)
+        new, iters, hist, *_ = picard_step_alg1(state, sc.config, sc.bc, asm)
         from pnpfem.solver import _StepContext, _stack
         ctx = _StepContext(state, sc.config, asm)
         res = ctx.residual_norm(_stack(new.p, new.n))
@@ -233,7 +260,7 @@ class TestSteps:
         assert check_acuteness(mesh, asm.stiffness).is_acute
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         config = SolverConfig(algorithm=2, k=1e-3, T=1e-3)
-        new, _, _ = picard_step_alg2(state, config, bc, asm)
+        new, *_ = picard_step_alg2(state, config, bc, asm)
         e0 = entropy_Eh(state.p, state.n, state.phi, asm.d, asm.stiffness, fns)
         e1 = entropy_Eh(new.p, new.n, new.phi, asm.d, asm.stiffness, fns)
         assert e1 <= e0 + 1e-8
@@ -242,11 +269,22 @@ class TestSteps:
         assert new.p.min() >= lo - 1e-10 and new.p.max() <= hi + 1e-10
         assert new.n.min() >= lo - 1e-10 and new.n.max() <= hi + 1e-10
 
+    def test_stagnation_exit_returns_best_iterate(self):
+        # past roundoff the residual of the 8 x 8 smooth step sits at a
+        # floor, so the loop ends at the stagnation exit, not at max_iters
+        sc = unreachable_tolerance(smooth_scenario(1, n=8), 200)
+        asm, state, _ = first_state(sc)
+        new, iters, hist, reason, res = picard_step_alg1(
+            state, sc.config, sc.bc, asm)
+        assert reason == "stagnated" and iters < 200
+        assert res == min(hist) and len(hist) == iters + 1
+        assert iters - hist.index(res) == STAGNATION_WINDOW
+        from pnpfem.solver import _StepContext, _stack
+        ctx = _StepContext(state, sc.config, asm)
+        assert ctx.residual_norm(_stack(new.p, new.n)) == res
+
     def test_unreachable_tolerance_raises_step_error(self):
-        sc = smooth_scenario(1)
-        sc.config.picard_residual_tol = 1e-300
-        sc.config.picard_increment_tol = 1e-300
-        sc.config.picard_max_iters = 3
+        sc = unreachable_tolerance(smooth_scenario(1), 3)
         mesh = sc.make_mesh()
         st = build_sym_stencils(mesh)
         p0, n0 = sc.initial_fields(mesh)
@@ -289,10 +327,7 @@ class TestRun:
         assert any("not small" in str(w.message) for w in caught)
 
     def test_step_error_carries_partial_result(self):
-        sc = smooth_scenario(1, k=1e-3, T=3e-3)
-        sc.config.picard_residual_tol = 1e-300
-        sc.config.picard_increment_tol = 1e-300
-        sc.config.picard_max_iters = 2
+        sc = unreachable_tolerance(smooth_scenario(1, k=1e-3, T=3e-3), 2)
         with pytest.raises(StepError) as err:
             run(sc)
         assert hasattr(err.value, "partial")
@@ -316,6 +351,17 @@ class TestRun:
         with pytest.raises(LinearSolveError, match="singular") as err:
             run(sc, on_step=lambda m, s: steps.append(m))
         assert len(err.value.partial.reports) == 2
+
+    def test_stagnated_step_is_recorded_and_warned(self):
+        sc = unreachable_tolerance(smooth_scenario(1, T=2e-3), 200)
+        with pytest.warns(RuntimeWarning, match="stagnated") as caught:
+            result = run(sc)
+        assert result.stagnated_steps == [1, 2]
+        assert sum("stagnated" in str(w.message) for w in caught) == 2
+        assert len(result.reports) == 2 and result.flags_ok()
+
+    def test_converged_run_has_no_stagnated_steps(self):
+        assert run(smooth_scenario(2)).stagnated_steps == []
 
     def test_on_step_callback_sees_every_state(self):
         seen = []
@@ -378,6 +424,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="picard_max_iters"):
             SolverConfig(picard_max_iters=0)
 
+    @pytest.mark.parametrize("value", [1.5, True, "1", np.inf])
+    def test_rejects_non_whole_algorithm(self, value):
+        with pytest.raises(ValueError, match="algorithm must be a whole"):
+            SolverConfig(algorithm=value)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", np.inf, np.nan])
+    def test_rejects_non_whole_picard_iterations(self, value):
+        with pytest.raises(ValueError,
+                           match="picard_max_iters must be a whole"):
+            SolverConfig(picard_max_iters=value)
+
+    def test_whole_valued_counts_stored_as_int(self):
+        cfg = SolverConfig(algorithm=2.0, picard_max_iters=np.int64(3))
+        assert type(cfg.algorithm) is int and cfg.algorithm == 2
+        assert type(cfg.picard_max_iters) is int and cfg.picard_max_iters == 3
+
 
 class TestSolvePlan:
     def test_singular_system_raises_linear_solve_error(self):
@@ -422,6 +484,91 @@ class TestCoefficientReuse:
                                 counted(key, getattr(solver._StepContext,
                                                      attr)))
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        _, iters, _ = step(state, sc.config, sc.bc, asm)
+        _, iters, *_ = step(state, sc.config, sc.bc, asm)
         assert calls["sweep"] == iters >= 2
         assert calls["alpha"] == 2 * calls["residual"]
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("dim", range(1, ANDERSON_DEPTH + 1))
+    def test_affine_contraction_reaches_fixed_point(self, dim, rng):
+        # with as many differences as dimensions, the least-squares fit is
+        # exact and the mix of an affine map is its fixed point
+        M = rng.normal(size=(dim, dim))
+        M *= 0.9 / np.linalg.norm(M, 2)
+        c = rng.normal(size=dim)
+        fixed = np.linalg.solve(np.eye(dim) - M, c)
+        z, pairs = rng.normal(size=dim), []
+        for _ in range(dim + 1):
+            pairs = pairs[-ANDERSON_DEPTH:] + [(z, M @ z + c)]
+            z = _anderson_mix(pairs) if len(pairs) > 1 else pairs[-1][1]
+        assert np.abs(z - fixed).max() <= 1e-12 * max(np.abs(fixed).max(),
+                                                       1.0)
+
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_out_of_bounds_mix_restarts_the_history(self, poison,
+                                                    monkeypatch):
+        # poisoned, the first mix is pushed below the bounds: the step's
+        # own bound check must refuse it before its residual is evaluated,
+        # restart the history from the latest sweep and still converge in
+        # bounds; unpoisoned, the second mix extends the history
+        import pnpfem.solver as solver
+        sc = smooth_scenario(2)
+        asm, state, (lo, hi) = first_state(sc)
+        mix, sizes, evaluated = solver._anderson_mix, [], []
+
+        def recorded_mix(pairs):
+            sizes.append(len(pairs))
+            z = mix(pairs)
+            if poison and len(sizes) == 1:
+                z = z.copy()
+                z[0] = lo - 1e-6
+            return z
+
+        residual_parts = solver._StepContext.residual_parts
+
+        def recorded_residual(ctx, p, n):
+            evaluated.append(p[0])
+            return residual_parts(ctx, p, n)
+
+        monkeypatch.setattr(solver, "_anderson_mix", recorded_mix)
+        monkeypatch.setattr(solver._StepContext, "residual_parts",
+                            recorded_residual)
+        new, _, hist, reason, _ = picard_step_alg2(state, sc.config, sc.bc,
+                                                   asm, (lo, hi))
+        assert sizes[:2] == ([2, 2] if poison else [2, 3])
+        assert lo - 1e-6 not in evaluated
+        assert reason == "converged" and hist[-1] <= 1e-6
+        for x in (new.p, new.n):
+            assert lo - DMP_TOL <= x.min() and x.max() <= hi + DMP_TOL
+
+    @pytest.mark.parametrize("name, in_force", [
+        ("smooth", True), ("channel_uniform", False)])
+    def test_run_passes_bounds_where_dmp_is_in_force(self, name, in_force,
+                                                     monkeypatch):
+        import pnpfem.solver as solver
+        from pnpfem.scenarios import builtin_scenario
+        sc = builtin_scenario(name, algorithm=1)
+        sc.mesh_spec = ("square", 6) if name == "smooth" else ("channel", 0.5)
+        sc.config.T = 2 * sc.config.k
+        step, seen = solver.picard_step_alg1, []
+
+        def recorded(state, config, bc, asm, bounds):
+            seen.append(bounds)
+            return step(state, config, bc, asm, bounds)
+
+        monkeypatch.setattr(solver, "picard_step_alg1", recorded)
+        result = run(sc)
+        assert result.in_force["dmp_ok"] == in_force
+        assert seen == [result.bounds if in_force else None] * 2
+
+    def test_channel_wave_iterations(self):
+        # the unaccelerated loop takes 203 iterations over these 10 steps
+        from pnpfem.scenarios import builtin_scenario
+        sc = builtin_scenario("channel_wave", algorithm=2)
+        sc.mesh_spec = ("channel", 0.5)
+        sc.config.T = 0.1
+        result = run(sc)
+        assert len(result.reports) == 10
+        assert sum(rep.picard_iters for rep in result.reports) <= 140
+        assert result.flags_ok() and result.stagnated_steps == []
