@@ -8,12 +8,10 @@ from . import diagnostics, svgplot
 from .scenarios import (
     BUILTIN_NAMES,
     ConfigError,
-    Scenario,
-    builtin_scenario,
-    fitting_snapshots,
-    parse_config,
+    read_config,
+    scenario_from_config,
 )
-from .solver import LinearSolveError, SolverConfig, StepError, run
+from .solver import LinearSolveError, StepError, run
 from .vtk_io import write_vtk_snapshot
 
 
@@ -42,28 +40,23 @@ def build_parser():
 
 
 def _load_scenario(args):
-    """The scenario with the flags applied, rebuilt through the validating
-    constructors, on a mesh built once for the run and its snapshots."""
-    if args.config:
-        scenario = parse_config(args.config)
-    elif args.scenario:
-        scenario = builtin_scenario(args.scenario,
-                                    algorithm=args.algorithm or 1)
-    else:
+    """The scenario of the config file, or of the built-in ``--scenario``
+    names, with each given flag merged over it as the config key of the same
+    meaning, on a mesh built once for the run and its snapshots."""
+    if not (args.config or args.scenario):
         raise ConfigError("one of --scenario or --config is required")
-    flags = {"algorithm": args.algorithm, "k": args.k, "T": args.T,
-             "q": args.q}
-    config = SolverConfig(**{**vars(scenario.config),
-                             **{key: value for key, value in flags.items()
-                                if value is not None}})
-    if args.snapshots is None:
-        times = fitting_snapshots(scenario.snapshot_times, config)
-    else:
-        times = [float(t) for t in args.snapshots.split(",") if t.strip()]
-    return Scenario(scenario.name, ("mesh", scenario.make_mesh()),
-                    scenario.initial, scenario.bc, config,
-                    output_dir=args.out or scenario.output_dir,
-                    snapshot_times=times)
+    flags = {"scenario": args.scenario, "algorithm": args.algorithm,
+             "k": args.k, "T": args.T, "q": args.q, "output_dir": args.out}
+    if args.snapshots is not None:
+        flags["snapshots"] = [float(t) for t in args.snapshots.split(",")
+                              if t.strip()]
+    flags = {key: value for key, value in flags.items() if value is not None}
+    raw = read_config(args.config) if args.config else {}
+    source = (f"{args.config} with flags" if args.config and flags
+              else args.config or "flags")
+    scenario = scenario_from_config({**raw, **flags}, source)
+    scenario.mesh_spec = ("mesh", scenario.make_mesh())
+    return scenario
 
 
 def _write_outputs(outdir, result):

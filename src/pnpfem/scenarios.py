@@ -15,13 +15,13 @@ Configs are JSON; any file key overrides the named built-in's value.
 """
 
 import json
-import math
+import os
 
 import numpy as np
 
 from . import mesh as meshmod
 from .fespace import averaged_interpolate, nodal_interpolate
-from .solver import BoundarySpec, SolverConfig
+from .solver import BoundarySpec, SolverConfig, _real, _whole
 
 BUILTIN_NAMES = ("smooth", "channel_uniform", "channel_wave", "channel_selective")
 
@@ -61,58 +61,68 @@ def wave_n0(x, y):
     return -np.tanh(10.0 * y - 0.8) + 1.0
 
 
-def _on_step_grid(t, k):
-    """True when t is a whole number of time steps k, to 1e-9 relative."""
-    m = t / k
-    return abs(m - round(m)) <= 1e-9 * max(m, 1.0)
-
-
-def fitting_snapshots(times, config):
-    """The snapshot times inside the horizon and on the step grid of a
-    config: built-in defaults shrink with an overridden T or k."""
-    return tuple(t for t in times
-                 if t <= config.T and _on_step_grid(t, config.k))
+def _fits(t, config):
+    """True when t lies in [0, T] and is a whole number of time steps k, to
+    1e-9 relative."""
+    m = t / config.k
+    return 0 <= t <= config.T and abs(m - round(m)) <= 1e-9 * max(m, 1.0)
 
 
 class Scenario:
-    """A full problem description consumed by ``solver.run``."""
+    """A full problem description consumed by ``solver.run``.
+
+    The constructor checks each value it stores, and names it by its config
+    key: ``mesh_spec`` is ``("square", n)`` for a whole ``mesh.n >= 2``,
+    ``("channel", cell)`` for a positive ``mesh.cell``, or ``("mesh",
+    Mesh)``; ``initial`` is ``(p0, n0, mode)`` with ``initial.mode`` nodal
+    or averaged; the snapshot times lie in [0, T] on the step grid.
+    """
 
     def __init__(self, name, mesh_spec, initial, bc, config,
                  output_dir="out", snapshot_times=()):
+        kind, arg = mesh_spec
+        if kind == "square":
+            mesh_spec = (kind, _whole("mesh.n", arg, minimum=2))
+        elif kind == "channel":
+            mesh_spec = (kind, _real("mesh.cell", arg))
+        elif not (kind == "mesh" and isinstance(arg, meshmod.Mesh)):
+            raise ValueError(f"unknown mesh spec {mesh_spec!r}")
+        if initial[2] not in ("nodal", "averaged"):
+            raise ValueError(f"'initial.mode' must be 'nodal' or 'averaged', "
+                             f"got {initial[2]!r}")
+        if not isinstance(output_dir, (str, os.PathLike)) or not output_dir:
+            raise ValueError(f"'output_dir' must be a nonempty path, got "
+                             f"{output_dir!r}")
+        if not isinstance(snapshot_times, (list, tuple)):
+            raise ValueError(f"'snapshots' must be a list of times, got "
+                             f"{snapshot_times!r}")
         self.name = name
-        # ("square", n) | ("channel", cell) | ("mesh", prebuilt Mesh)
         self.mesh_spec = mesh_spec
-        self.initial = initial              # (p0, n0, mode), mode nodal|averaged
+        self.initial = initial
         self.bc = bc
         self.config = config
         self.output_dir = output_dir
-        self.snapshot_times = tuple(float(t) for t in snapshot_times)
-        bad = [t for t in self.snapshot_times if not 0.0 <= t <= config.T]
+        self.snapshot_times = tuple(_real("snapshots", t, "real")
+                                    for t in snapshot_times)
+        bad = [t for t in self.snapshot_times if not _fits(t, config)]
         if bad:
-            raise ValueError(f"snapshot times {bad} outside [0, T={config.T}]")
-        bad = [t for t in self.snapshot_times
-               if not _on_step_grid(t, config.k)]
-        if bad:
-            raise ValueError(f"snapshot times {bad} are not whole numbers of "
-                             f"time steps k={config.k}")
+            raise ValueError(f"snapshot times {bad} must lie in [0, "
+                             f"T={config.T}] on the grid of time steps "
+                             f"k={config.k}")
 
     def make_mesh(self):
         kind, arg = self.mesh_spec
         if kind == "square":
-            return meshmod.build_unit_square(int(arg))
+            return meshmod.build_unit_square(arg)
         if kind == "channel":
-            return meshmod.build_channel(float(arg))
-        if kind == "mesh":
-            return arg
-        raise ValueError(f"unknown mesh spec {kind!r}")
+            return meshmod.build_channel(arg)
+        return arg
 
     def initial_fields(self, mesh):
         p0_fn, n0_fn, mode = self.initial
-        if mode == "averaged":
-            return averaged_interpolate(p0_fn, mesh), averaged_interpolate(n0_fn, mesh)
-        if mode == "nodal":
-            return nodal_interpolate(p0_fn, mesh), nodal_interpolate(n0_fn, mesh)
-        raise ValueError(f"unknown interpolation mode {mode!r}")
+        interpolate = (averaged_interpolate if mode == "averaged"
+                       else nodal_interpolate)
+        return interpolate(p0_fn, mesh), interpolate(n0_fn, mesh)
 
 
 def builtin_scenario(name, algorithm=1):
@@ -180,111 +190,86 @@ _BC_KEYS = {"phi_dirichlet", "p_dirichlet"}
 
 
 def _compile_expression(expr, key):
-    code = compile(expr, f"<config:{key}>", "eval")
+    try:
+        code = compile(expr, f"<config:{key}>", "eval")
+    except (SyntaxError, TypeError) as err:
+        raise ValueError(f"{key!r} must be an expression in x and y, got "
+                         f"{expr!r}") from err
 
     def fn(x, y):
-        ns = dict(_EXPR_NAMESPACE)
-        ns.update(x=x, y=y)
-        out = eval(code, {"__builtins__": {}}, ns)
+        out = eval(code, {"__builtins__": {}},
+                   {**_EXPR_NAMESPACE, "x": x, "y": y})
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
 
     return fn
 
 
-def parse_config(path):
-    """Load a JSON scenario config, starting from a built-in and overriding.
+def _section(value, allowed, where, source):
+    """``value`` once it is checked to be an object with no key outside
+    ``allowed``; ``where`` names it in the ``ConfigError``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{source}: {where} must be an object")
+    unknown = set(value) - allowed
+    if unknown:
+        raise ConfigError(f"{source}: unknown keys under {where}: "
+                          f"{sorted(unknown)}")
+    return value
 
-    Unknown keys are rejected with their key path; all solver fields are
-    defaultable.  Initial data may be replaced by expressions in x and y.
+
+def scenario_from_config(raw, source):
+    """The scenario that a dict of config keys describes: the built-in that
+    ``scenario`` names (``smooth`` if none), with each given key overriding
+    its value.  Built-in snapshot times are kept where they fit the final
+    ``T`` and ``k``; given ones are checked.
+
+    The constructors validate the values; their errors, and unknown keys,
+    raise ``ConfigError`` naming ``source`` and the key.  Initial data may
+    be replaced by expressions in x and y.
     """
+    _section(raw, _CONFIG_KEYS, "the top level", source)
+    mesh = _section(raw.get("mesh", {}), _MESH_KEYS, "'mesh'", source)
+    if len(mesh) > 1:
+        raise ConfigError(f"{source}: give one of 'mesh.n' (square) and "
+                          f"'mesh.cell' (channel), not both")
+    ini = _section(raw.get("initial", {}), _INITIAL_KEYS, "'initial'", source)
+    b = _section(raw.get("bc", {}), _BC_KEYS, "'bc'", source)
+    try:
+        base = builtin_scenario(raw.get("scenario", "smooth"))
+        config = SolverConfig(**{key: raw.get(key, value)
+                                 for key, value in vars(base.config).items()})
+        p0, n0, mode = base.initial
+        return Scenario(
+            base.name,
+            ("square", mesh["n"]) if "n" in mesh
+            else ("channel", mesh["cell"]) if "cell" in mesh
+            else base.mesh_spec,
+            (_compile_expression(ini["p0"], "initial.p0") if "p0" in ini
+             else p0,
+             _compile_expression(ini["n0"], "initial.n0") if "n0" in ini
+             else n0,
+             ini.get("mode", mode)),
+            BoundarySpec(b.get("phi_dirichlet", base.bc.phi_dirichlet),
+                         b.get("p_dirichlet", base.bc.p_dirichlet)),
+            config,
+            output_dir=raw.get("output_dir", base.output_dir),
+            snapshot_times=raw.get("snapshots", [
+                t for t in base.snapshot_times if _fits(t, config)]),
+        )
+    except ValueError as err:
+        raise ConfigError(f"{source}: {err}") from err
+
+
+def read_config(path):
+    """The config dict of a JSON file, its keys checked but not its values."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}: invalid JSON at line {err.lineno}: "
                               f"{err.msg}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    return _section(raw, _CONFIG_KEYS, "the top level", path)
 
-    def positive(key, value, zero_ok=False):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and (value > 0 or zero_ok and value == 0)):
-            kind = "nonnegative" if zero_ok else "positive"
-            raise ConfigError(f"{path}: key {key!r} must be a {kind} number, "
-                              f"got {value!r}")
-        return float(value)
 
-    def count(key, value):
-        whole = (isinstance(value, int) and not isinstance(value, bool)
-                 or isinstance(value, float) and value.is_integer())
-        if not (whole and value >= 1):
-            raise ConfigError(f"{path}: key {key!r} must be a positive whole "
-                              f"number, got {value!r}")
-        return int(value)
-
-    name = raw.get("scenario", "smooth")
-    algorithm = count("algorithm", raw.get("algorithm", 1))
-    scenario = builtin_scenario(name, algorithm)
-
-    overrides = {key: positive(key, raw[key], zero_ok=key == "T")
-                 for key in ("k", "T", "q", "picard_residual_tol",
-                             "picard_increment_tol", "linear_tol")
-                 if key in raw}
-    if "picard_max_iters" in raw:
-        overrides["picard_max_iters"] = count("picard_max_iters",
-                                              raw["picard_max_iters"])
-    try:
-        cfg = SolverConfig(**{**vars(scenario.config), **overrides})
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-    mesh_spec = scenario.mesh_spec
-    if "mesh" in raw:
-        m = raw["mesh"]
-        unknown = set(m) - _MESH_KEYS
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys under 'mesh': "
-                              f"{sorted(unknown)}")
-        if "n" in m:
-            mesh_spec = ("square", count("mesh.n", m["n"]))
-        if "cell" in m:
-            mesh_spec = ("channel", positive("mesh.cell", m["cell"]))
-
-    initial = scenario.initial
-    if "initial" in raw:
-        ini = raw["initial"]
-        unknown = set(ini) - _INITIAL_KEYS
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys under 'initial': "
-                              f"{sorted(unknown)}")
-        p0 = (_compile_expression(ini["p0"], "initial.p0")
-              if "p0" in ini else initial[0])
-        n0 = (_compile_expression(ini["n0"], "initial.n0")
-              if "n0" in ini else initial[1])
-        mode = ini.get("mode", initial[2])
-        if mode not in ("nodal", "averaged"):
-            raise ConfigError(f"{path}: key 'initial.mode' must be 'nodal' or "
-                              f"'averaged', got {mode!r}")
-        initial = (p0, n0, mode)
-
-    bc = scenario.bc
-    if "bc" in raw:
-        b = raw["bc"]
-        unknown = set(b) - _BC_KEYS
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys under 'bc': "
-                              f"{sorted(unknown)}")
-        bc = BoundarySpec(
-            phi_dirichlet=b.get("phi_dirichlet", bc.phi_dirichlet),
-            p_dirichlet=b.get("p_dirichlet", bc.p_dirichlet),
-        )
-
-    return Scenario(
-        name, mesh_spec, initial, bc, cfg,
-        output_dir=raw.get("output_dir", scenario.output_dir),
-        snapshot_times=raw.get(
-            "snapshots", fitting_snapshots(scenario.snapshot_times, cfg)),
-    )
+def parse_config(path):
+    """The scenario of a JSON config file; see ``scenario_from_config``."""
+    return scenario_from_config(read_config(path), path)

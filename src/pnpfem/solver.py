@@ -76,14 +76,28 @@ class State:
                 raise ValueError(f"non-finite values in state field {name}")
 
 
-def _whole(name, value):
-    """``value`` as an int; a bool, a fraction or a non-number is refused."""
+def _whole(name, value, minimum=1):
+    """``value`` as an int of at least ``minimum``; a bool, a fraction, a
+    non-number or a smaller value is refused."""
     whole = (isinstance(value, numbers.Integral)
              and not isinstance(value, bool)
              or isinstance(value, float) and value.is_integer())
-    if not whole:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if not (whole and value >= minimum):
+        raise ValueError(f"{name!r} must be a whole number of at least "
+                         f"{minimum}, got {value!r}")
     return int(value)
+
+
+def _real(name, value, kind="positive"):
+    """``value`` as a finite float that is, by ``kind``, positive,
+    nonnegative or any real; a bool or a non-number is refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value)
+            or kind == "positive" and value <= 0
+            or kind == "nonnegative" and value < 0):
+        raise ValueError(f"{name!r} must be a finite {kind} number, got "
+                         f"{value!r}")
+    return float(value)
 
 
 class SolverConfig:
@@ -95,42 +109,31 @@ class SolverConfig:
     def __init__(self, algorithm=1, k=1e-3, T=0.5, q=2.0,
                  picard_residual_tol=1e-6, picard_increment_tol=1e-16,
                  picard_max_iters=400, linear_tol=1e-12):
-        algorithm = _whole("algorithm", algorithm)
-        picard_max_iters = _whole("picard_max_iters", picard_max_iters)
-        if algorithm not in (1, 2):
-            raise ValueError(f"algorithm must be 1 or 2, got {algorithm}")
-        # the negated comparisons also reject nan
-        if not 0 < k < np.inf:
-            raise ValueError(f"time step k must be positive and finite, "
-                             f"got {k}")
-        if not 0 <= T < np.inf:
-            raise ValueError(f"final time T must be nonnegative and finite, "
-                             f"got {T}")
-        if not np.isfinite(T / k):
+        self.algorithm = _whole("algorithm", algorithm)
+        if self.algorithm not in (1, 2):
+            raise ValueError(f"'algorithm' must be 1 or 2, got {algorithm}")
+        self.k = _real("k", k)
+        self.T = _real("T", T, "nonnegative")
+        if not np.isfinite(self.T / self.k):
             raise ValueError(f"the step count T / k must be finite, got "
                              f"T={T:g}, k={k:g}")
-        if not 0 < q < np.inf:
-            raise ValueError(f"detector exponent q must be positive and "
-                             f"finite, got {q}")
-        for name, val in (
-            ("picard_residual_tol", picard_residual_tol),
-            ("picard_increment_tol", picard_increment_tol),
-            ("linear_tol", linear_tol),
-        ):
-            if not 0 < val < np.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {val}")
-        if picard_max_iters < 1:
-            raise ValueError(f"picard_max_iters must be at least 1, got "
-                             f"{picard_max_iters}")
-        self.algorithm = algorithm
-        self.k = float(k)
-        self.T = float(T)
-        self.q = float(q)
-        self.picard_residual_tol = float(picard_residual_tol)
-        self.picard_increment_tol = float(picard_increment_tol)
-        self.picard_max_iters = picard_max_iters
-        self.linear_tol = float(linear_tol)
+        self.q = _real("q", q)
+        self.picard_residual_tol = _real("picard_residual_tol",
+                                         picard_residual_tol)
+        self.picard_increment_tol = _real("picard_increment_tol",
+                                          picard_increment_tol)
+        self.picard_max_iters = _whole("picard_max_iters", picard_max_iters)
+        self.linear_tol = _real("linear_tol", linear_tol)
+
+
+def _tag_values(name, values):
+    """A boundary tag -> value dict with float values; a non-dict or a value
+    that is not a finite real number is refused."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{name!r} must map boundary tags to numbers, got "
+                         f"{values!r}")
+    return {tag: _real(f"{name}.{tag}", value, "real")
+            for tag, value in values.items()}
 
 
 class BoundarySpec:
@@ -142,8 +145,8 @@ class BoundarySpec:
     """
 
     def __init__(self, phi_dirichlet=None, p_dirichlet=None):
-        self.phi_dirichlet = dict(phi_dirichlet or {})
-        self.p_dirichlet = dict(p_dirichlet or {})
+        self.phi_dirichlet = _tag_values("phi_dirichlet", phi_dirichlet or {})
+        self.p_dirichlet = _tag_values("p_dirichlet", p_dirichlet or {})
 
     @property
     def pure_neumann(self):

@@ -17,7 +17,7 @@ from pnpfem import (
 from pnpfem import diagnostics
 from pnpfem.cli import main as cli_main
 from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
-from pnpfem.scenarios import ConfigError
+from pnpfem.scenarios import ConfigError, scenario_from_config
 from pnpfem.vtk_io import read_vtk_point_data
 
 
@@ -69,6 +69,49 @@ class TestBuiltinScenarios:
                      (lambda x, y: x, lambda x, y: x, "nodal"),
                      BoundarySpec(), SolverConfig(T=0.5),
                      snapshot_times=(0.7,))
+
+
+def _scenario(mesh_spec=("square", 4), mode="nodal", **kwargs):
+    return Scenario("x", mesh_spec, (lambda x, y: x, lambda x, y: x, mode),
+                    BoundarySpec(), SolverConfig(T=0.5), **kwargs)
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("n", [6.9, 1, 0, True, "6", np.nan])
+    def test_square_needs_a_whole_n_of_at_least_two(self, n):
+        # a fractional size is refused, not truncated
+        with pytest.raises(ValueError, match="'mesh.n' must be a whole"):
+            _scenario(("square", n))
+
+    @pytest.mark.parametrize("cell", [0.0, -0.5, np.inf, np.nan, True, "0.5"])
+    def test_channel_needs_a_positive_finite_cell(self, cell):
+        with pytest.raises(ValueError, match="'mesh.cell' must be a finite"):
+            _scenario(("channel", cell))
+
+    @pytest.mark.parametrize("spec", [("disk", 4), ("mesh", "square")])
+    def test_unknown_mesh_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="unknown mesh spec"):
+            _scenario(spec)
+
+    def test_mesh_spec_stored_as_given_kind(self, square8):
+        assert _scenario(("square", 6.0)).mesh_spec == ("square", 6)
+        assert type(_scenario(("square", 6.0)).mesh_spec[1]) is int
+        assert _scenario(("channel", 1)).mesh_spec == ("channel", 1.0)
+        assert _scenario(("mesh", square8)).make_mesh() is square8
+
+    def test_unknown_interpolation_mode_rejected(self):
+        with pytest.raises(ValueError, match="'initial.mode' must be"):
+            _scenario(mode="cubic")
+
+    @pytest.mark.parametrize("out", [5, None, ""])
+    def test_output_dir_must_be_a_path(self, out):
+        with pytest.raises(ValueError, match="'output_dir' must be"):
+            _scenario(output_dir=out)
+
+    @pytest.mark.parametrize("times", [0.5, "0.5", (True,), (-0.1,)])
+    def test_snapshots_must_be_a_list_of_times(self, times):
+        with pytest.raises(ValueError, match="snapshot"):
+            _scenario(snapshot_times=times)
 
 
 class TestParseConfig:
@@ -156,6 +199,57 @@ class TestParseConfig:
         path.write_text("{\n  broken\n}")
         with pytest.raises(ConfigError, match="line"):
             parse_config(str(path))
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"k": True}, "k"), ({"T": True}, "T"), ({"q": False}, "q"),
+        ({"picard_residual_tol": True}, "picard_residual_tol"),
+        ({"k": True, "T": True}, "k")])
+    def test_bool_reals_rejected(self, tmp_path, payload, key):
+        # a JSON bool is not a number, so true is not 1.0
+        path = self._write(tmp_path, {"scenario": "smooth", **payload})
+        with pytest.raises(ConfigError,
+                           match=f"scenario.json: '{key}' must be a finite"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value", [True, "1", [1.0]])
+    def test_bad_dirichlet_value_rejected(self, tmp_path, value):
+        path = self._write(tmp_path, {
+            "scenario": "channel_wave",
+            "bc": {"phi_dirichlet": {"bottom": value, "top": 1.0}}})
+        with pytest.raises(ConfigError, match="'phi_dirichlet.bottom'"):
+            parse_config(path)
+
+    def test_both_mesh_keys_rejected(self, tmp_path):
+        # neither mesh kind is preferred over the other
+        path = self._write(tmp_path, {"mesh": {"n": 4, "cell": 0.5}})
+        with pytest.raises(ConfigError, match="'mesh.n'.*'mesh.cell'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("expr", ["1 +", 5])
+    def test_bad_expression_rejected(self, tmp_path, expr):
+        path = self._write(tmp_path, {"initial": {"p0": expr}})
+        with pytest.raises(ConfigError, match="'initial.p0' must be an"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("payload, where", [
+        ([1, 2], "the top level"), ({"mesh": 4}, "'mesh'"),
+        ({"bc": [1]}, "'bc'"), ({"initial": "x"}, "'initial'")])
+    def test_non_object_rejected(self, tmp_path, payload, where):
+        with pytest.raises(ConfigError, match=f"{where} must be an object"):
+            parse_config(self._write(tmp_path, payload))
+
+    def test_dict_and_file_give_the_same_scenario(self, tmp_path):
+        payload = {"scenario": "channel_wave", "algorithm": 2, "k": 0.02,
+                   "T": 0.2, "mesh": {"cell": 0.5}, "output_dir": "o"}
+        a = parse_config(self._write(tmp_path, payload))
+        b = scenario_from_config(payload, "dict")
+        for sc in (a, b):
+            assert sc.name == "channel_wave" and sc.mesh_spec == (
+                "channel", 0.5)
+            assert vars(sc.config) == vars(SolverConfig(
+                algorithm=2, k=0.02, T=0.2))
+            assert sc.snapshot_times == (0.1, 0.2)
+            assert sc.output_dir == "o"
 
 
 class TestVtk:
@@ -317,6 +411,73 @@ class TestCli:
         assert cli_main(["--config", cfg]) == 2
         assert "T / k must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("file_scenario", [None, "smooth"])
+    def test_scenario_flag_applies_over_a_config(self, tmp_path, capsys,
+                                                 file_scenario):
+        # flag over file: --scenario picks the built-in under the file
+        payload = {"mesh": {"cell": 0.5}, "k": 0.01, "T": 0.01,
+                   "output_dir": str(tmp_path / "out")}
+        if file_scenario:
+            payload["scenario"] = file_scenario
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["--scenario", "channel_wave", "--config",
+                         str(path)]) == 0
+        assert capsys.readouterr().out.startswith("channel_wave: 1 steps")
+
+    def test_given_snapshots_checked_against_the_flags(self, tmp_path,
+                                                       capsys):
+        # given times are checked against the merged T, never dropped
+        cfg = self._neutral_config(tmp_path, snapshots=[0.03])
+        assert cli_main(["--config", cfg, "--T", "0.02"]) == 2
+        assert "snapshot times [0.03]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_builtin_snapshots_fitted_once_to_the_flags(self, tmp_path):
+        # the defaults are fitted to the merged T = 0.02, not to the file's
+        # T = 0.01
+        cfg = self._neutral_config(tmp_path, T=0.01)
+        assert cli_main(["--config", cfg, "--T", "0.02"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.vtk")) == [
+            "snapshot_t0.01.vtk", "snapshot_t0.02.vtk"]
+
+    def test_builtin_snapshots_shrink_under_a_shorter_horizon(self,
+                                                               tmp_path):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--T", "0.01"]) == 0
+        assert [p.name for p in (tmp_path / "out").glob("*.vtk")] == [
+            "snapshot_t0.01.vtk"]
+
+    def test_out_flag_overrides_the_file(self, tmp_path):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--out",
+                         str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "diagnostics.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_non_string_output_dir_is_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a config error exits 2; 1 is the status of a failed invariant
+        monkeypatch.chdir(tmp_path)
+        cfg = self._neutral_config(tmp_path, output_dir=5)
+        assert cli_main(["--config", cfg]) == 2
+        assert "'output_dir' must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_bool_real_is_usage_error(self, tmp_path, capsys):
+        cfg = self._neutral_config(tmp_path, k=True, T=True)
+        assert cli_main(["--config", cfg]) == 2
+        assert "'k' must be a finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_errors_name_the_flags(self, tmp_path, capsys):
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--q", "-1"]) == 2
+        assert "config.json with flags: 'q' must be" in \
+            capsys.readouterr().err
+        assert cli_main(["--scenario", "smooth", "--q", "-1"]) == 2
+        assert "flags: 'q' must be" in capsys.readouterr().err
 
     def test_linear_solve_failure_writes_partial_outputs(
             self, tmp_path, monkeypatch, capsys):

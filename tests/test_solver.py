@@ -426,19 +426,50 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [1.5, True, "1", np.inf])
     def test_rejects_non_whole_algorithm(self, value):
-        with pytest.raises(ValueError, match="algorithm must be a whole"):
+        with pytest.raises(ValueError, match="'algorithm' must be a whole"):
             SolverConfig(algorithm=value)
 
     @pytest.mark.parametrize("value", [2.5, True, "3", np.inf, np.nan])
     def test_rejects_non_whole_picard_iterations(self, value):
         with pytest.raises(ValueError,
-                           match="picard_max_iters must be a whole"):
+                           match="'picard_max_iters' must be a whole"):
             SolverConfig(picard_max_iters=value)
 
     def test_whole_valued_counts_stored_as_int(self):
         cfg = SolverConfig(algorithm=2.0, picard_max_iters=np.int64(3))
         assert type(cfg.algorithm) is int and cfg.algorithm == 2
         assert type(cfg.picard_max_iters) is int and cfg.picard_max_iters == 3
+
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+    @pytest.mark.parametrize("name", [
+        "k", "T", "q", "picard_residual_tol", "picard_increment_tol",
+        "linear_tol"])
+    def test_rejects_bools_and_non_numbers_for_reals(self, name, value):
+        with pytest.raises(ValueError, match=f"'{name}' must be a finite"):
+            SolverConfig(**{name: value})
+
+    def test_reals_stored_as_float(self):
+        cfg = SolverConfig(k=np.float32(0.5), T=1, q=np.int64(3))
+        assert (type(cfg.k), type(cfg.T), type(cfg.q)) == (float,) * 3
+        assert (cfg.k, cfg.T, cfg.q) == (0.5, 1.0, 3.0)
+
+
+class TestBoundarySpecValidation:
+    @pytest.mark.parametrize("value", [True, "1.0", None, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["phi_dirichlet", "p_dirichlet"])
+    def test_rejects_non_real_values_when_built(self, name, value):
+        with pytest.raises(ValueError, match=f"'{name}.bottom' must be a"):
+            BoundarySpec(**{name: {BOTTOM: value}})
+
+    @pytest.mark.parametrize("value", [[-1.0, 1.0], "bottom", 5])
+    def test_rejects_a_non_mapping(self, value):
+        with pytest.raises(ValueError, match="'phi_dirichlet' must map"):
+            BoundarySpec(phi_dirichlet=value)
+
+    def test_values_stored_as_float(self):
+        bc = BoundarySpec(phi_dirichlet={BOTTOM: -1, TOP: np.float32(2.0)})
+        assert bc.phi_dirichlet == {BOTTOM: -1.0, TOP: 2.0}
+        assert all(type(v) is float for v in bc.phi_dirichlet.values())
 
 
 class TestSolvePlan:
