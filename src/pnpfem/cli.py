@@ -98,7 +98,11 @@ def main(argv=None):
         return 2
 
     outdir = scenario.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     k = scenario.config.k
     snapshot_steps = {int(round(t / k)): t for t in scenario.snapshot_times}

@@ -19,6 +19,9 @@ BOUNDARY_TAGS = (BOTTOM, TOP, MEMBRANE, OTHER_BOUNDARY)
 
 ACUTENESS_TOL = 1e-14
 
+# candidate far edges per block of the stencil build; bounds its memory
+STENCIL_BLOCK = 2**14
+
 
 class StencilError(RuntimeError):
     """Raised when a symmetric point cannot be constructed for a node pair."""
@@ -393,71 +396,107 @@ class SymmetricStencil:
         return w[:, 0] * x[self.sym_nodes[:, 0]] + w[:, 1] * x[self.sym_nodes[:, 1]]
 
 
+def _lengths(v):
+    """Euclidean length of each row of an (n, 2) array.
+
+    The stacked product reaches the same BLAS dot product as
+    ``np.linalg.norm`` of one row, so the lengths are bit-equal to it;
+    ``sqrt(x*x + y*y)``, ``einsum`` and ``norm(axis=1)`` can each differ by
+    one ulp.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def build_sym_stencils(mesh):
     """Construct the symmetric-node stencil of a mesh.
 
     For each directed pair (i, j) the ray from node j through node i is
     intersected with the far edges of the star of i (the element edges
-    opposite to i).  Boundary pairs whose ray exits the domain immediately
+    opposite to i); the nearest crossing is taken, the first in element
+    order on a tie.  Boundary pairs whose ray exits the domain immediately
     fall back to the one-sided rule.
+
+    The pairs are processed in blocks of at most ``STENCIL_BLOCK`` candidate
+    far edges, which bounds the memory of the set-up.
 
     Raises
     ------
     StencilError
-        If an interior node's ray hits no far edge (degenerate geometry).
+        If an interior node's ray hits no far edge (degenerate geometry);
+        the first such pair in pair order is named.
     """
-    npairs = mesh.pair_i.size
-    sym_nodes = np.zeros((npairs, 2), dtype=np.int64)
-    sym_weights = np.zeros((npairs, 2))
-    sym_points = np.zeros((npairs, 2))
-    r_len = np.zeros(npairs)
-    r_sym_len = np.zeros(npairs)
-    one_sided = np.zeros(npairs, dtype=bool)
-
-    # far edges per node: edges (u, v) opposite i in elements containing i
-    far_edges = [[] for _ in range(mesh.num_nodes)]
-    for (u, v, w) in mesh.elements:
-        far_edges[u].append((v, w))
-        far_edges[v].append((w, u))
-        far_edges[w].append((u, v))
-
     pts = mesh.nodes
-    for p in range(npairs):
-        i, j = int(mesh.pair_i[p]), int(mesh.pair_j[p])
-        ai, aj = pts[i], pts[j]
-        d = ai - aj
-        rij = np.linalg.norm(d)
-        r_len[p] = rij
+    pair_i, pair_j = mesh.pair_i, mesh.pair_j
+    npairs = pair_i.size
+    d = pts[pair_i] - pts[pair_j]
+    r_len = _lengths(d)
+    parallel_scale = 1e-14 * np.maximum(r_len, 1.0)
+    # every pair starts one-sided; the pairs whose ray hits a far edge are
+    # overwritten below
+    sym_nodes = np.column_stack([pair_j, pair_j])
+    sym_weights = np.tile([1.0, 0.0], (npairs, 1))
+    sym_points = pts[pair_j]
+    r_sym_len = r_len.copy()
+    one_sided = np.ones(npairs, dtype=bool)
 
-        best_t, best = np.inf, None
-        for (u, v) in far_edges[i]:
-            e = pts[v] - pts[u]
-            denom = d[0] * e[1] - d[1] * e[0]
-            if abs(denom) < 1e-14 * max(rij, 1.0) * np.linalg.norm(e):
-                continue
-            w = pts[u] - ai
-            t = (w[0] * e[1] - w[1] * e[0]) / denom
-            s = (w[0] * d[1] - w[1] * d[0]) / denom
-            if t > 1e-12 and -1e-12 <= s <= 1.0 + 1e-12 and t < best_t:
-                best_t, best = t, (u, v, min(max(s, 0.0), 1.0))
+    # far edges per node: the edge (u, v) opposite node i in each element
+    # containing i, in ascending element order
+    tri = mesh.elements
+    apex = tri.ravel()
+    order = np.argsort(apex, kind="stable")
+    far_u = tri[:, [1, 2, 0]].ravel()[order]
+    far_v = tri[:, [2, 0, 1]].ravel()[order]
+    far_ptr = np.zeros(mesh.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(apex, minlength=mesh.num_nodes), out=far_ptr[1:])
+    far_e = pts[far_v] - pts[far_u]
+    far_len = _lengths(far_e)
 
-        if best is None:
-            if not mesh.boundary_mask[i]:
-                raise StencilError(
-                    f"no symmetric point for interior pair ({i}, {j})"
-                )
-            sym_nodes[p] = (j, j)
-            sym_weights[p] = (1.0, 0.0)
-            sym_points[p] = aj
-            r_sym_len[p] = rij
-            one_sided[p] = True
-        else:
-            u, v, s = best
-            point = ai + best_t * d
-            sym_nodes[p] = (u, v)
-            sym_weights[p] = (1.0 - s, s)
-            sym_points[p] = point
-            r_sym_len[p] = np.linalg.norm(point - ai)
+    ncand = (far_ptr[1:] - far_ptr[:-1])[pair_i]
+    cand_end = np.cumsum(ncand)
+    start = 0
+    while start < npairs:
+        limit = cand_end[start] - ncand[start] + STENCIL_BLOCK
+        stop = max(int(np.searchsorted(cand_end, limit, side="right")),
+                   start + 1)
+        block = slice(start, stop)
+        i, counts = pair_i[block], ncand[block]
+        # candidate c is far edge f[c] of local pair owner[c]
+        owner = np.repeat(np.arange(stop - start), counts)
+        first = np.cumsum(counts) - counts
+        f = np.arange(owner.size) + np.repeat(far_ptr[i] - first, counts)
+        dc, e = d[block][owner], far_e[f]
+        denom = dc[:, 0] * e[:, 1] - dc[:, 1] * e[:, 0]
+        parallel = np.abs(denom) < parallel_scale[block][owner] * far_len[f]
+        denom[parallel] = 1.0
+        w = pts[far_u[f]] - pts[i][owner]
+        t = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
+        s = (w[:, 0] * dc[:, 1] - w[:, 1] * dc[:, 0]) / denom
+        hit = (~parallel & (t > 1e-12) & (t < np.inf)
+               & (s >= -1e-12) & (s <= 1.0 + 1e-12))
+        t = np.where(hit, t, np.inf)
+        best_t = np.minimum.reduceat(t, first)
+
+        bad = np.flatnonzero((best_t == np.inf) & ~mesh.boundary_mask[i])
+        if bad.size:
+            p = start + int(bad[0])
+            raise StencilError(
+                f"no symmetric point for interior pair "
+                f"({int(pair_i[p])}, {int(pair_j[p])})"
+            )
+
+        # the first candidate at the minimum, as a strict "t < best" scan
+        pick = np.flatnonzero(hit & (t == best_t[owner]))
+        pick = pick[np.unique(owner[pick], return_index=True)[1]]
+        p = start + owner[pick]
+        s = s[pick]
+        s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
+        point = pts[pair_i[p]] + t[pick, None] * d[p]
+        sym_nodes[p] = np.column_stack([far_u[f[pick]], far_v[f[pick]]])
+        sym_weights[p] = np.column_stack([1.0 - s, s])
+        sym_points[p] = point
+        r_sym_len[p] = _lengths(point - pts[pair_i[p]])
+        one_sided[p] = False
+        start = stop
 
     return SymmetricStencil(
         mesh, sym_nodes, sym_weights, sym_points, r_len, r_sym_len, one_sided

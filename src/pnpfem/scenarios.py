@@ -14,6 +14,7 @@ Four built-in experiments are shipped:
 Configs are JSON; any file key overrides the named built-in's value.
 """
 
+import ast
 import json
 import os
 
@@ -190,11 +191,27 @@ _BC_KEYS = {"phi_dirichlet", "p_dirichlet"}
 
 
 def _compile_expression(expr, key):
+    """A function of (x, y) that evaluates the config expression ``expr``.
+
+    Raises ``ValueError`` naming ``key`` if ``expr`` does not parse, or if
+    it reads a name outside ``_EXPR_NAMESPACE``, x and y that it does not
+    bind itself (in a comprehension or a lambda).
+    """
     try:
-        code = compile(expr, f"<config:{key}>", "eval")
+        tree = ast.parse(expr, f"<config:{key}>", "eval")
     except (SyntaxError, TypeError) as err:
         raise ValueError(f"{key!r} must be an expression in x and y, got "
                          f"{expr!r}") from err
+    nodes = list(ast.walk(tree))
+    bound = {node.id for node in nodes if isinstance(node, ast.Name)
+             and not isinstance(node.ctx, ast.Load)}
+    bound |= {node.arg for node in nodes if isinstance(node, ast.arg)}
+    unknown = {node.id for node in nodes if isinstance(node, ast.Name)
+               } - bound - set(_EXPR_NAMESPACE) - {"x", "y"}
+    if unknown:
+        raise ValueError(f"{key!r} uses unknown names {sorted(unknown)}; "
+                         f"it may use x, y and {sorted(_EXPR_NAMESPACE)}")
+    code = compile(tree, f"<config:{key}>", "eval")
 
     def fn(x, y):
         out = eval(code, {"__builtins__": {}},

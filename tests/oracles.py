@@ -8,6 +8,8 @@ integrals from quadrature, so agreement with the package is a real check.
 import numpy as np
 import scipy.sparse as sp
 
+from pnpfem import mesh as meshmod
+
 # degree-5 rule on the reference triangle (barycentric points, weights
 # summing to one); transcribed independently from standard tables
 _S15 = 15.0**0.5
@@ -151,6 +153,78 @@ def exhaustive_sym_point(mesh, i, j):
         return None
     t = min(hits)
     return t, p0 + t * d
+
+
+def loop_sym_stencils(mesh):
+    """The symmetric-node stencil of a mesh, one pair and one far edge at a
+    time: the reference for ``pnpfem.mesh.build_sym_stencils``.
+
+    For each directed pair (i, j) the ray from node j through node i is
+    intersected with the far edges of the star of i (the element edges
+    opposite to i).  Boundary pairs whose ray exits the domain immediately
+    fall back to the one-sided rule.
+
+    Raises
+    ------
+    StencilError
+        If an interior node's ray hits no far edge (degenerate geometry).
+    """
+    npairs = mesh.pair_i.size
+    sym_nodes = np.zeros((npairs, 2), dtype=np.int64)
+    sym_weights = np.zeros((npairs, 2))
+    sym_points = np.zeros((npairs, 2))
+    r_len = np.zeros(npairs)
+    r_sym_len = np.zeros(npairs)
+    one_sided = np.zeros(npairs, dtype=bool)
+
+    # far edges per node: edges (u, v) opposite i in elements containing i
+    far_edges = [[] for _ in range(mesh.num_nodes)]
+    for (u, v, w) in mesh.elements:
+        far_edges[u].append((v, w))
+        far_edges[v].append((w, u))
+        far_edges[w].append((u, v))
+
+    pts = mesh.nodes
+    for p in range(npairs):
+        i, j = int(mesh.pair_i[p]), int(mesh.pair_j[p])
+        ai, aj = pts[i], pts[j]
+        d = ai - aj
+        rij = np.linalg.norm(d)
+        r_len[p] = rij
+
+        best_t, best = np.inf, None
+        for (u, v) in far_edges[i]:
+            e = pts[v] - pts[u]
+            denom = d[0] * e[1] - d[1] * e[0]
+            if abs(denom) < 1e-14 * max(rij, 1.0) * np.linalg.norm(e):
+                continue
+            w = pts[u] - ai
+            t = (w[0] * e[1] - w[1] * e[0]) / denom
+            s = (w[0] * d[1] - w[1] * d[0]) / denom
+            if t > 1e-12 and -1e-12 <= s <= 1.0 + 1e-12 and t < best_t:
+                best_t, best = t, (u, v, min(max(s, 0.0), 1.0))
+
+        if best is None:
+            if not mesh.boundary_mask[i]:
+                raise meshmod.StencilError(
+                    f"no symmetric point for interior pair ({i}, {j})"
+                )
+            sym_nodes[p] = (j, j)
+            sym_weights[p] = (1.0, 0.0)
+            sym_points[p] = aj
+            r_sym_len[p] = rij
+            one_sided[p] = True
+        else:
+            u, v, s = best
+            point = ai + best_t * d
+            sym_nodes[p] = (u, v)
+            sym_weights[p] = (1.0 - s, s)
+            sym_points[p] = point
+            r_sym_len[p] = np.linalg.norm(point - ai)
+
+    return meshmod.SymmetricStencil(
+        mesh, sym_nodes, sym_weights, sym_points, r_len, r_sym_len, one_sided
+    )
 
 
 # --- scalar reference formulas -----------------------------------------------

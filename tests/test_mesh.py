@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpfem import (
     Mesh,
@@ -10,7 +14,8 @@ from pnpfem import (
     build_unit_square,
     check_acuteness,
 )
-from pnpfem.mesh import BOTTOM, MEMBRANE, OTHER_BOUNDARY, TOP
+from pnpfem import mesh as meshmod
+from pnpfem.mesh import BOTTOM, MEMBRANE, OTHER_BOUNDARY, TOP, StencilError
 
 import oracles
 
@@ -195,6 +200,64 @@ class TestSymmetricStencil:
                 assert st.r_sym_len[p] == st.r_len[p]
                 assert set(st.sym_nodes[p]) == {int(j)}
         assert found
+
+
+STENCIL_FIELDS = ("sym_nodes", "sym_weights", "sym_points", "r_len",
+                  "r_sym_len", "one_sided")
+
+
+def assert_stencil_matches_loop(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = build_sym_stencils(m)
+    want = oracles.loop_sym_stencils(m)
+    for name in STENCIL_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestStencilMatchesLoop:
+    @pytest.mark.parametrize("make", [
+        lambda: build_unit_square(4),
+        lambda: build_unit_square(8),
+        lambda: build_unit_square(64),
+        lambda: build_channel(0.5),
+        lambda: build_channel(0.25),
+        lambda: build_equilateral_strip(10, 7),
+        lambda: oracles.jittered_delaunay_mesh(32, 0.35, seed=0),
+        lambda: oracles.jittered_delaunay_mesh(12, 0.45, seed=3),
+        lambda: oracles.jittered_delaunay_mesh(20, 0.2, seed=5),
+    ], ids=["square-4", "square-8", "square-64", "channel-0.5",
+            "channel-0.25", "strip", "delaunay-32", "delaunay-12",
+            "delaunay-20"])
+    def test_equal_arrays(self, make):
+        assert_stencil_matches_loop(make())
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 12), jitter=st.floats(0.0, 0.35),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_arrays_on_jittered_delaunay(self, n, jitter, seed):
+        assert_stencil_matches_loop(
+            oracles.jittered_delaunay_mesh(n, jitter, seed))
+
+    def test_equal_arrays_across_small_blocks(self, monkeypatch):
+        # blocks of a few candidates split one node's pairs between blocks
+        monkeypatch.setattr(meshmod, "STENCIL_BLOCK", 5)
+        assert_stencil_matches_loop(
+            oracles.jittered_delaunay_mesh(6, 0.3, seed=11))
+
+    def test_stencil_error_names_first_failing_pair(self):
+        # corner 0 has a one-sided pair; as an interior node it has none
+        messages = []
+        for build in (build_sym_stencils, oracles.loop_sym_stencils):
+            m = build_unit_square(4)
+            m.boundary_mask[0] = False
+            with pytest.raises(StencilError, match="interior pair") as err:
+                build(m)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "(0, " in messages[0]
 
 
 class TestAcuteness:

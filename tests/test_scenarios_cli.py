@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -230,6 +231,24 @@ class TestParseConfig:
         path = self._write(tmp_path, {"initial": {"p0": expr}})
         with pytest.raises(ConfigError, match="'initial.p0' must be an"):
             parse_config(path)
+
+    @pytest.mark.parametrize("key, expr, names", [
+        ("p0", "foo(x)", "['foo']"), ("n0", "np.exp(y) + z", "['np', 'z']")])
+    def test_unknown_expression_names_rejected(self, tmp_path, key, expr,
+                                               names):
+        path = self._write(tmp_path, {"initial": {key: expr}})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"'initial.{key}' uses unknown names {names}")):
+            parse_config(path)
+
+    def test_names_bound_in_the_expression_accepted(self, tmp_path):
+        path = self._write(tmp_path, {"mesh": {"n": 4}, "initial": {
+            "p0": "(lambda r: 1 + r * 0)(x)",
+            "n0": "where([c > 2 for c in [3]][0], 1 + 0 * y, y)"}})
+        sc = parse_config(path)
+        p0, n0 = sc.initial_fields(sc.make_mesh())
+        assert np.all(p0 == 1.0)
+        assert np.all(n0 == 1.0)
 
     @pytest.mark.parametrize("payload, where", [
         ([1, 2], "the top level"), ({"mesh": 4}, "'mesh'"),
@@ -464,6 +483,28 @@ class TestCli:
         assert cli_main(["--config", cfg]) == 2
         assert "'output_dir' must be" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_unknown_expression_name_is_usage_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # refused with the config, before the output directory is made
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({
+            "mesh": {"n": 6}, "k": 0.01, "T": 0.01,
+            "initial": {"p0": "foo(x)"}, "output_dir": "o"}))
+        assert cli_main(["--config", "config.json"]) == 2
+        assert "'initial.p0' uses unknown names ['foo']" in \
+            capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_output_path_that_is_a_file_is_usage_error(self, tmp_path,
+                                                       capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = self._neutral_config(tmp_path)
+        assert cli_main(["--config", cfg, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken" in err
+        assert taken.read_text() == ""
 
     def test_bool_real_is_usage_error(self, tmp_path, capsys):
         cfg = self._neutral_config(tmp_path, k=True, T=True)
