@@ -34,8 +34,6 @@ def build_parser():
                    help="comma-separated times for VTK snapshots")
     p.add_argument("--no-strict", action="store_true",
                    help="exit 0 even when an in-force invariant flag fails")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized test drivers (unused by runs)")
     return p
 
 

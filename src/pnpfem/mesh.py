@@ -47,9 +47,6 @@ class Mesh:
 
     Attributes
     ----------
-    node_neighbors : list of int arrays
-        Sorted indices of the nodes sharing an element with node i,
-        including i itself.
     pair_i, pair_j : int arrays
         Directed neighbor pairs (j != i), grouped by i; ``pair_ptr`` holds
         the CSR-style offsets of each node's group.
@@ -152,7 +149,6 @@ class Mesh:
         counts = np.bincount(rows, minlength=n)
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
-        self.node_neighbors = [cols[ptr[i]:ptr[i + 1]].copy() for i in range(n)]
 
         # the P1 sparsity pattern (sorted CSR, diagonal included) and the
         # slots of the entries every assembled operator writes

@@ -193,9 +193,10 @@ _BC_KEYS = {"phi_dirichlet", "p_dirichlet"}
 def _compile_expression(expr, key):
     """A function of (x, y) that evaluates the config expression ``expr``.
 
-    Raises ``ValueError`` naming ``key`` if ``expr`` does not parse, or if
-    it reads a name outside ``_EXPR_NAMESPACE``, x and y that it does not
-    bind itself (in a comprehension or a lambda).
+    Raises ``ValueError`` naming ``key`` if ``expr`` does not parse, if it
+    reads a name outside ``_EXPR_NAMESPACE``, x and y that it does not bind
+    itself (in a comprehension or a lambda), or if it uses attribute access,
+    which reaches past the namespace (``x.__class__``).
     """
     try:
         tree = ast.parse(expr, f"<config:{key}>", "eval")
@@ -211,6 +212,9 @@ def _compile_expression(expr, key):
     if unknown:
         raise ValueError(f"{key!r} uses unknown names {sorted(unknown)}; "
                          f"it may use x, y and {sorted(_EXPR_NAMESPACE)}")
+    if any(isinstance(node, ast.Attribute) for node in nodes):
+        raise ValueError(f"{key!r} may not use attribute access, got "
+                         f"{expr!r}")
     code = compile(tree, f"<config:{key}>", "eval")
 
     def fn(x, y):

@@ -165,69 +165,6 @@ class BoundarySpec:
         return np.concatenate(nodes), np.concatenate(values)
 
 
-class PoissonSolver:
-    """Prefactorized potential solver for a fixed mesh and boundary spec.
-
-    Pure-Neumann problems are compatible only for a balanced total charge;
-    the residual charge mean is projected out of the right side (interpolated
-    initial data balance only approximately) and the solution is shifted to
-    zero mean.  Dirichlet values are imposed strongly.  ``lumped`` is the
-    lumped mass vector.
-    """
-
-    def __init__(self, mesh, stiffness, lumped, bc):
-        self.mesh = mesh
-        self.stiffness = stiffness.tocsr()
-        self._abs_stiffness = abs(self.stiffness)  # for the backward error
-        self.d = np.asarray(lumped, dtype=float)
-        self.area = float(self.d.sum())
-
-        fixed, values = bc.tagged_nodes(mesh, bc.phi_dirichlet)
-        self.pure_neumann = fixed.size == 0
-        if self.pure_neumann:
-            # ground node 0; the projected right side makes this consistent
-            fixed, values = np.zeros(1, dtype=np.int64), np.zeros(1)
-        self.fixed = fixed
-        self.fixed_values = values
-        mask = np.ones(mesh.num_nodes, dtype=bool)
-        mask[fixed] = False
-        self.free = free = np.flatnonzero(mask)
-        # the backward error covers the whole system when it is singular,
-        # else the rows that are solved for
-        self._checked_rows = slice(None) if self.pure_neumann else free
-        K = self.stiffness
-        self._lu = spla.splu(K[free][:, free].tocsc())
-        self._K_fc = K[free][:, fixed].tocsr()
-
-    def solve(self, rho_diff):
-        """Potential for a given charge difference p - n."""
-        rho_diff = np.asarray(rho_diff, dtype=float)
-        b = self.d * rho_diff
-        if self.pure_neumann:
-            total = b.sum()
-            if abs(total) > ELECTRONEUTRALITY_TOL * self.area:
-                raise ElectroneutralityError(
-                    f"total charge {total:g} violates electroneutrality "
-                    f"(tolerance {ELECTRONEUTRALITY_TOL:g} x area)"
-                )
-            b = b - (total / self.area) * self.d
-        phi = np.zeros(self.mesh.num_nodes)
-        phi[self.fixed] = self.fixed_values
-        rhs = b[self.free] - self._K_fc @ self.fixed_values
-        phi[self.free] = self._lu.solve(rhs)
-        if self.pure_neumann:
-            phi -= diagnostics.dot(self.d, phi) / self.area
-        resid = (self.stiffness @ phi - b)[self._checked_rows]
-        scale = float((self._abs_stiffness @ np.abs(phi)).max(initial=0.0)
-                      + np.abs(b).max(initial=0.0))
-        err = np.abs(resid).max(initial=0.0) / max(scale, 1.0)
-        if not np.isfinite(err) or err > 1e3 * POISSON_LINEAR_TOL:
-            raise LinearSolveError(
-                f"potential solve backward error {err:g} exceeds tolerance"
-            )
-        return phi
-
-
 class SolvePlan:
     """A fill-reducing solve of the matrices on a mesh's P1 pattern.
 
@@ -247,6 +184,7 @@ class SolvePlan:
         n = mesh.num_nodes
         self.rows = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr))
         self.cols = mesh.pattern_indices
+        self.diag_slots = mesh.diag_slots
         # a diagonally dominant matrix on the pattern is nonsingular, and
         # with diagonal pivots its ordering and fill depend on the structure
         # alone; neither ordering wins on every mesh (minimum degree on the
@@ -278,11 +216,94 @@ class SolvePlan:
                           shape=(n, n))
         return spla.splu(M, permc_spec="NATURAL", options=self._OPTIONS)
 
-    def abs_matvec(self, data, x):
-        """|A| |x| for the values ``data`` of A on the pattern."""
-        return np.bincount(self.rows,
-                           weights=np.abs(data) * np.abs(x)[self.cols],
-                           minlength=self.perm.size)
+    def solve(self, lu, b):
+        """x with A x = b, for the factors ``lu`` of ``P A P^T``."""
+        x = np.empty_like(b)
+        x[self.perm] = lu.solve(b[self.perm])
+        return x
+
+    def identity_rows(self, nodes):
+        """A function that makes ``nodes`` identity rows: it zeroes their
+        slots in the values of a matrix on the pattern, in place, puts 1 on
+        their diagonal and returns the values.  The slots are found once."""
+        slots = np.flatnonzero(np.isin(self.rows, nodes))
+        diag = self.diag_slots[nodes]
+
+        def impose(data):
+            data[slots] = 0.0
+            data[diag] = 1.0
+            return data
+
+        return impose
+
+
+def _check_solve(plan, A, x, b, tol, what):
+    """``x`` if its backward error ||A x - b|| / max(||A| |x|| + ||b||, tiny)
+    is at most 1e3 ``tol`` in the max norm, for a CSR matrix ``A`` on the
+    plan's pattern; else a ``LinearSolveError`` that names ``what``."""
+    resid = float(np.abs(A @ x - b).max(initial=0.0))
+    abs_ax = np.bincount(plan.rows,
+                         weights=np.abs(A.data) * np.abs(x)[plan.cols],
+                         minlength=plan.perm.size)
+    scale = float(abs_ax.max(initial=0.0) + np.abs(b).max(initial=0.0))
+    err = resid / max(scale, np.finfo(float).tiny)
+    if not np.isfinite(err) or err > 1e3 * tol:
+        raise LinearSolveError(
+            f"{what} solve backward error {err:g} exceeds tolerance")
+    return x
+
+
+class PoissonSolver:
+    """Prefactorized potential solver for a fixed mesh and boundary spec.
+
+    Pure-Neumann problems are compatible only for a balanced total charge;
+    the residual charge mean is projected out of the right side (interpolated
+    initial data balance only approximately), node 0 is grounded and the
+    solution is shifted to zero mean.  Dirichlet values are imposed
+    strongly.  The fixed nodes are identity rows of the ``stiffness`` values
+    on the P1 pattern, factored once with ``plan``; ``lumped`` is the lumped
+    mass vector.
+    """
+
+    def __init__(self, mesh, stiffness, lumped, bc, plan):
+        self.stiffness = stiffness.tocsr()
+        self.d = np.asarray(lumped, dtype=float)
+        self.area = float(self.d.sum())
+        self.plan = plan
+
+        fixed, values = bc.tagged_nodes(mesh, bc.phi_dirichlet)
+        self.pure_neumann = fixed.size == 0
+        if self.pure_neumann:
+            # ground node 0; the projected right side makes this consistent
+            fixed, values = np.zeros(1, dtype=np.int64), np.zeros(1)
+        self.fixed = fixed
+        self.fixed_values = values
+        data = plan.identity_rows(fixed)(self.stiffness.data.copy())
+        self._lu = plan.factor(data)
+        # the system the backward error is taken on: the singular K itself,
+        # on every row, for a pure-Neumann potential after its mean shift
+        self._A = self.stiffness if self.pure_neumann else mesh.csr(data)
+
+    def solve(self, rho_diff):
+        """Potential for a given charge difference p - n."""
+        b = self.d * np.asarray(rho_diff, dtype=float)
+        if self.pure_neumann:
+            total = b.sum()
+            if abs(total) > ELECTRONEUTRALITY_TOL * self.area:
+                raise ElectroneutralityError(
+                    f"total charge {total:g} violates electroneutrality "
+                    f"(tolerance {ELECTRONEUTRALITY_TOL:g} x area)")
+            b = b - (total / self.area) * self.d
+        rhs = b.copy()
+        rhs[self.fixed] = self.fixed_values
+        phi = self.plan.solve(self._lu, rhs)
+        # a pivoting row swap can leave a fixed value a roundoff off
+        phi[self.fixed] = self.fixed_values
+        if self.pure_neumann:
+            phi -= diagnostics.dot(self.d, phi) / self.area
+            rhs = b
+        return _check_solve(self.plan, self._A, phi, rhs, POISSON_LINEAR_TOL,
+                            "potential")
 
 
 class Assemblies:
@@ -296,25 +317,11 @@ class Assemblies:
         self.mass = assemble_mass(mesh)
         self.d = lumped_mass_vector(mesh)
         self.stiffness = assemble_stiffness(mesh)
-        self.poisson = PoissonSolver(mesh, self.stiffness, self.d, bc)
         self.solve_plan = SolvePlan(mesh)
+        self.poisson = PoissonSolver(mesh, self.stiffness, self.d, bc,
+                                     self.solve_plan)
         self.p_fixed, self.p_fixed_values = bc.tagged_nodes(mesh, bc.p_dirichlet)
-        self._p_row_slots = np.flatnonzero(np.isin(self.solve_plan.rows,
-                                                   self.p_fixed))
-
-    def impose_p_rows(self, A, b):
-        """Replace pinned cation rows by identity rows with the pinned value.
-
-        ``A`` holds the values of a matrix on the mesh's P1 pattern and is
-        changed in place.
-        """
-        if not self.p_fixed.size:
-            return A, b
-        A[self._p_row_slots] = 0.0
-        A[self.mesh.diag_slots[self.p_fixed]] = 1.0
-        b = b.copy()
-        b[self.p_fixed] = self.p_fixed_values
-        return A, b
+        self.pin_p_rows = self.solve_plan.identity_rows(self.p_fixed)
 
 
 def epsilon_for_scenario(p0, n0, bc):
@@ -407,16 +414,7 @@ def _solve_linear(plan, A, b, linear_tol):
         lu = plan.factor(A.data)
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise LinearSolveError(f"density solve failed: {err}") from err
-    x = np.empty_like(b)
-    x[plan.perm] = lu.solve(b[plan.perm])
-    resid = float(np.abs(A @ x - b).max(initial=0.0))
-    scale = float(plan.abs_matvec(A.data, x).max(initial=0.0)
-                  + np.abs(b).max(initial=0.0))
-    err = resid / max(scale, np.finfo(float).tiny)
-    if not np.isfinite(err) or err > 1e3 * linear_tol:
-        raise LinearSolveError(
-            f"density solve backward error {err:g} exceeds tolerance")
-    return x
+    return _check_solve(plan, A, plan.solve(lu, b), b, linear_tol, "density")
 
 
 class _StepContext:
@@ -473,7 +471,10 @@ class _StepContext:
             A_n = self._A_base + Bn.matrix.data
             b_p = b_p - star_transport_vector(p, phi, asm.fns, K, mesh)
             b_n = b_n + star_transport_vector(n, phi, asm.fns, K, mesh)
-        A_p, b_p = asm.impose_p_rows(A_p, b_p)
+        if asm.p_fixed.size:
+            A_p = asm.pin_p_rows(A_p)
+            b_p = b_p.copy()
+            b_p[asm.p_fixed] = asm.p_fixed_values
         return mesh.csr(A_p), b_p, mesh.csr(A_n), b_n
 
     def residual_parts(self, p, n):

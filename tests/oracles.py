@@ -103,6 +103,16 @@ def quad_drift(mesh, phi):
     return quad_assemble(mesh, integrand)
 
 
+def element_stars(mesh):
+    """Sorted nodes of each node's element star, the node itself included,
+    from a loop over the triangles."""
+    stars = [set() for _ in range(mesh.num_nodes)]
+    for tri in mesh.elements.tolist():
+        for a in tri:
+            stars[a].update(tri)
+    return [np.array(sorted(star)) for star in stars]
+
+
 def eval_p1(mesh, x, point):
     """Evaluate a nodal field at a point by locating a containing element."""
     for e in range(mesh.num_elements):

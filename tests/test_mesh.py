@@ -20,6 +20,11 @@ from pnpfem.mesh import BOTTOM, MEMBRANE, OTHER_BOUNDARY, TOP, StencilError
 import oracles
 
 
+def _pattern_row(m, i):
+    """The nodes of row i of the P1 pattern."""
+    return m.pattern_indices[m.pattern_indptr[i]:m.pattern_indptr[i + 1]]
+
+
 class TestUnitSquare:
     def test_counts_n2(self):
         m = build_unit_square(2)
@@ -42,7 +47,7 @@ class TestUnitSquare:
         interior = [i for i in range(m.num_nodes) if not m.boundary_mask[i]]
         assert interior
         for i in interior:
-            assert len(m.node_neighbors[i]) == 7
+            assert len(_pattern_row(m, i)) == 7
 
     def test_area_and_positivity(self):
         m = build_unit_square(5)
@@ -57,17 +62,13 @@ class TestUnitSquare:
     def test_neighbor_symmetry(self, square4):
         m = square4
         for i in range(m.num_nodes):
-            for j in m.node_neighbors[i]:
-                assert i in m.node_neighbors[j]
+            for j in _pattern_row(m, i):
+                assert i in _pattern_row(m, j)
 
     def test_neighbors_match_element_stars(self, square4):
         m = square4
-        stars = [set() for _ in range(m.num_nodes)]
-        for tri in m.elements:
-            for a in tri:
-                stars[a].update(tri)
-        for i in range(m.num_nodes):
-            assert set(m.node_neighbors[i]) == stars[i]
+        for i, star in enumerate(oracles.element_stars(m)):
+            assert np.array_equal(_pattern_row(m, i), star)
 
 
 class TestChannel:

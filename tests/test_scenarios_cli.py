@@ -241,6 +241,14 @@ class TestParseConfig:
                 f"'initial.{key}' uses unknown names {names}")):
             parse_config(path)
 
+    @pytest.mark.parametrize("expr", [
+        "x.sum() + 0*y", "x.__class__.__name__ and 1.0 + 0*x"])
+    def test_attribute_access_rejected(self, tmp_path, expr):
+        path = self._write(tmp_path, {"initial": {"p0": expr}})
+        with pytest.raises(ConfigError, match=re.escape(
+                "'initial.p0' may not use attribute access")):
+            parse_config(path)
+
     def test_names_bound_in_the_expression_accepted(self, tmp_path):
         path = self._write(tmp_path, {"mesh": {"n": 4}, "initial": {
             "p0": "(lambda r: 1 + r * 0)(x)",
@@ -359,10 +367,6 @@ class TestCli:
         code = cli_main(["--scenario", "smooth", "--T", "0.002",
                          "--out", out, "--config", ""])
         assert code == 0
-
-    def test_seed_flag_accepted(self, tmp_path):
-        cfg = self._neutral_config(tmp_path)
-        assert cli_main(["--config", cfg, "--seed", "7"]) == 0
 
     def test_negative_horizon_is_usage_error(self, tmp_path, capsys):
         cfg = self._neutral_config(tmp_path)
@@ -495,6 +499,18 @@ class TestCli:
         assert "'initial.p0' uses unknown names ['foo']" in \
             capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_attribute_access_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        # refused with the config, before the output directory is made
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({
+            "mesh": {"n": 6}, "k": 0.01, "T": 0.01,
+            "initial": {"p0": "x.sum() + 0*y"}, "output_dir": "o"}))
+        assert cli_main(["--config", "config.json"]) == 2
+        assert "'initial.p0' may not use attribute access" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_output_path_that_is_a_file_is_usage_error(self, tmp_path,
                                                        capsys):

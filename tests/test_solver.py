@@ -23,7 +23,7 @@ from pnpfem import (
     run,
 )
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
-from pnpfem.mesh import BOTTOM, TOP
+from pnpfem.mesh import BOTTOM, OTHER_BOUNDARY, TOP
 from pnpfem.scenarios import smooth_n0, smooth_p0
 from pnpfem.solver import (
     ANDERSON_DEPTH,
@@ -34,6 +34,8 @@ from pnpfem.solver import (
     _solve_linear,
     epsilon_for_scenario,
 )
+
+import oracles
 
 
 def uniform_scenario(algorithm, k=1e-2, T=0.05, n=8):
@@ -74,8 +76,8 @@ class TestPoisson:
     def test_balanced_charge_gives_zero_potential(self, square8):
         K = assemble_stiffness(square8)
         d = lumped_mass_vector(square8)
-        phi = PoissonSolver(square8, K, d, BoundarySpec()).solve(
-            np.zeros(square8.num_nodes))
+        phi = PoissonSolver(square8, K, d, BoundarySpec(), SolvePlan(square8)
+                            ).solve(np.zeros(square8.num_nodes))
         assert np.abs(phi).max() == 0.0
 
     def test_zero_mean_and_equation(self, square8, rng):
@@ -83,7 +85,8 @@ class TestPoisson:
         d = lumped_mass_vector(square8)
         rho = rng.normal(size=square8.num_nodes)
         rho -= (d @ rho) / d.sum()
-        phi = PoissonSolver(square8, K, d, BoundarySpec()).solve(rho)
+        phi = PoissonSolver(square8, K, d, BoundarySpec(), SolvePlan(square8)
+                            ).solve(rho)
         assert d @ phi == pytest.approx(0.0, abs=1e-10)
         assert np.abs(K @ phi - d * rho).max() < 1e-11
 
@@ -93,44 +96,71 @@ class TestPoisson:
         p = rng.uniform(1.0, 2.0, size=square8.num_nodes)
         n = p + rng.normal(scale=0.1, size=square8.num_nodes)
         n -= (d @ (n - p)) / d.sum()
-        base = PoissonSolver(square8, K, d, BoundarySpec()).solve(p - n)
-        shifted = PoissonSolver(square8, K, d, BoundarySpec()).solve(
-            (p + 5.0) - (n + 5.0))
+        poisson = PoissonSolver(square8, K, d, BoundarySpec(),
+                                SolvePlan(square8))
+        base = poisson.solve(p - n)
+        shifted = poisson.solve((p + 5.0) - (n + 5.0))
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_electroneutrality_violation_raises(self, square8):
         K = assemble_stiffness(square8)
         d = lumped_mass_vector(square8)
         with pytest.raises(ElectroneutralityError):
-            PoissonSolver(square8, K, d, BoundarySpec()).solve(
-                np.ones(square8.num_nodes))
+            PoissonSolver(square8, K, d, BoundarySpec(), SolvePlan(square8)
+                          ).solve(np.ones(square8.num_nodes))
 
-    def test_dirichlet_matches_reduced_system_oracle(self):
-        mesh = build_channel(0.5)
+    # (mesh, Dirichlet data, charge): the channel's plates at -+50 with no
+    # charge, and a jittered Delaunay mesh held at 2 with a random charge
+    DIRICHLET_CASES = {
+        "channel": (lambda: build_channel(0.5), {BOTTOM: -50.0, TOP: 50.0},
+                    lambda n: np.zeros(n)),
+        "delaunay": (lambda: oracles.jittered_delaunay_mesh(10, 0.3, seed=7),
+                     {OTHER_BOUNDARY: 2.0},
+                     lambda n: np.random.default_rng(5).normal(size=n)),
+    }
+
+    @pytest.mark.parametrize("where", sorted(DIRICHLET_CASES))
+    def test_dirichlet_matches_reduced_system_oracle(self, where):
+        make_mesh, values, charge = self.DIRICHLET_CASES[where]
+        mesh = make_mesh()
         K = assemble_stiffness(mesh)
         d = lumped_mass_vector(mesh)
-        bc = BoundarySpec(phi_dirichlet={BOTTOM: -50.0, TOP: 50.0})
-        phi = PoissonSolver(mesh, K, d, bc).solve(np.zeros(mesh.num_nodes))
+        rho = charge(mesh.num_nodes)
+        bc = BoundarySpec(phi_dirichlet=values)
+        phi = PoissonSolver(mesh, K, d, bc, SolvePlan(mesh)).solve(rho)
         # independent dense solve of the constrained system
         A = K.toarray().copy()
-        b = np.zeros(mesh.num_nodes)
-        for tag, val in ((BOTTOM, -50.0), (TOP, 50.0)):
+        b = d * rho
+        for tag, val in values.items():
             for i in mesh.nodes_with_tag(tag):
                 A[i, :] = 0.0
                 A[i, i] = 1.0
                 b[i] = val
         expected = np.linalg.solve(A, b)
         assert phi == pytest.approx(expected, abs=1e-9)
-        bottom = mesh.nodes_with_tag(BOTTOM)
-        assert np.all(phi[bottom] == -50.0)
+        for tag, val in values.items():
+            assert np.all(phi[mesh.nodes_with_tag(tag)] == val)
 
     def test_unknown_tag_rejected(self, square8):
         K = assemble_stiffness(square8)
         d = lumped_mass_vector(square8)
         with pytest.raises(ValueError, match="membrane"):
             PoissonSolver(square8, K, d,
-                          BoundarySpec(phi_dirichlet={"membrane": 1.0})
+                          BoundarySpec(phi_dirichlet={"membrane": 1.0}),
+                          SolvePlan(square8)
                           ).solve(np.zeros(square8.num_nodes))
+
+    @pytest.mark.parametrize("phi_dirichlet", [{}, {BOTTOM: -1.0, TOP: 1.0}])
+    def test_nan_charge_fails_the_backward_error_gate(self, phi_dirichlet):
+        mesh = build_channel(0.5)
+        poisson = PoissonSolver(mesh, assemble_stiffness(mesh),
+                                lumped_mass_vector(mesh),
+                                BoundarySpec(phi_dirichlet=phi_dirichlet),
+                                SolvePlan(mesh))
+        rho = np.zeros(mesh.num_nodes)
+        rho[np.flatnonzero(~mesh.boundary_mask)[0]] = np.nan
+        with pytest.raises(LinearSolveError, match="potential"):
+            poisson.solve(rho)
 
 
 class TestBacktracking:
@@ -483,6 +513,16 @@ class TestSolvePlan:
             _solve_linear(plan, mesh.csr(data), np.ones(mesh.num_nodes),
                           1e-12)
         assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_nan_right_side_fails_the_backward_error_gate(self):
+        mesh = build_unit_square(4)
+        plan = SolvePlan(mesh)
+        data = np.full(mesh.pattern_nnz, -1.0)
+        data[mesh.diag_slots] = 8.0
+        b = np.ones(mesh.num_nodes)
+        b[3] = np.nan
+        with pytest.raises(LinearSolveError, match="density"):
+            _solve_linear(plan, mesh.csr(data), b, 1e-12)
 
 
 class TestCoefficientReuse:
