@@ -49,11 +49,9 @@ def assemble_mass(mesh):
 
 def lumped_mass_vector(mesh):
     """Integrals of the hat functions as a vector: one third of the star area."""
-    d = np.zeros(mesh.num_nodes)
-    share = mesh.areas / 3.0
-    for a in range(3):
-        np.add.at(d, mesh.elements[:, a], share)
-    return d
+    return np.bincount(mesh.elements.T.ravel(),
+                       weights=np.tile(mesh.areas / 3.0, 3),
+                       minlength=mesh.num_nodes)
 
 
 def assemble_stiffness(mesh):
@@ -100,9 +98,9 @@ def designated_elements(mesh):
 
     Deterministic choice: the adjacent element with the smallest index.
     """
-    first = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    for e in range(mesh.num_elements - 1, -1, -1):
-        first[mesh.elements[e]] = e
+    first = np.full(mesh.num_nodes, mesh.num_elements, dtype=np.int64)
+    np.minimum.at(first, mesh.elements,
+                  np.arange(mesh.num_elements)[:, None])
     return first
 
 

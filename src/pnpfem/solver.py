@@ -462,13 +462,13 @@ class _StepContext:
             G = assemble_drift(mesh, phi)
             Bp = build_stabilizer_alg1(+1, k, a_p, mesh, asm.mass, K, G)
             Bn = build_stabilizer_alg1(-1, k, a_n, mesh, asm.mass, K, G)
-            A_p = self._A_base + G.data + Bp.matrix.data
-            A_n = self._A_base - G.data + Bn.matrix.data
+            A_p = self._A_base + G.data + Bp.values
+            A_n = self._A_base - G.data + Bn.values
         else:
             Bp = build_stabilizer_alg2(+1, p, phi, a_p, asm.fns, K, mesh)
             Bn = build_stabilizer_alg2(-1, n, phi, a_n, asm.fns, K, mesh)
-            A_p = self._A_base + Bp.matrix.data
-            A_n = self._A_base + Bn.matrix.data
+            A_p = self._A_base + Bp.values
+            A_n = self._A_base + Bn.values
             b_p = b_p - star_transport_vector(p, phi, asm.fns, K, mesh)
             b_n = b_n + star_transport_vector(n, phi, asm.fns, K, mesh)
         if asm.p_fixed.size:

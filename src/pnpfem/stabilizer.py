@@ -54,19 +54,22 @@ def entropy_functions(epsilon):
 
 
 class StabilizerMatrix:
-    """A symmetric graph-Laplacian stabilizer with its edge weights.
+    """A symmetric graph-Laplacian stabilizer on the mesh's P1 pattern.
 
-    ``matrix`` acts on nodal fields; ``weights`` are the nonnegative
-    coefficients of the mesh's unordered edges (``mesh.edge_i``,
-    ``mesh.edge_j``).
+    ``weights`` are the nonnegative coefficients of the mesh's unordered
+    edges (``mesh.edge_i``, ``mesh.edge_j``); ``values`` are the matrix
+    entries in the pattern's slot order, which the march adds into its
+    systems.  ``matrix`` builds the CSR matrix each time it is read.
     """
 
-    def __init__(self, matrix, weights):
-        self.matrix = matrix
+    def __init__(self, weights, values, mesh):
         self.weights = weights
+        self.values = values
+        self._mesh = mesh
 
-    def __matmul__(self, x):
-        return self.matrix @ x
+    @property
+    def matrix(self):
+        return self._mesh.csr(self.values)
 
 
 def _stabilizer(alpha, f_ij, f_ji, mesh):
@@ -82,7 +85,7 @@ def _stabilizer(alpha, f_ij, f_ji, mesh):
     data[mesh.diag_slots] = np.bincount(
         mesh.edge_ends, weights=np.concatenate([w, w]),
         minlength=mesh.num_nodes)
-    return StabilizerMatrix(mesh.csr(data), w)
+    return StabilizerMatrix(w, data, mesh)
 
 
 def build_stabilizer_alg1(sign, timestep, alpha, mesh, mass, stiffness, drift):

@@ -1,7 +1,5 @@
 """Legacy ASCII VTK output for meshes and solution snapshots."""
 
-import numpy as np
-
 _HEADER = "# vtk DataFile Version 3.0"
 
 
@@ -37,32 +35,3 @@ def write_vtk_snapshot(state, mesh, path, title="snapshot"):
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             for v in getattr(state, name):
                 f.write(f"{v:.17g}\n")
-
-
-def read_vtk_point_data(path):
-    """Parse points and point scalars back from a legacy ASCII file.
-
-    Returns (points, cells, {name: values}); intended for round-trip checks.
-    """
-    with open(path, "r", encoding="ascii") as f:
-        tokens = f.read().split()
-    idx = tokens.index("POINTS")
-    npts = int(tokens[idx + 1])
-    coords = np.array(tokens[idx + 3: idx + 3 + 3 * npts], dtype=float)
-    points = coords.reshape(npts, 3)[:, :2]
-    idx = tokens.index("CELLS")
-    ncells = int(tokens[idx + 1])
-    raw = np.array(tokens[idx + 3: idx + 3 + 4 * ncells], dtype=int)
-    cells = raw.reshape(ncells, 4)[:, 1:]
-    scalars = {}
-    pos = 0
-    while True:
-        try:
-            pos = tokens.index("SCALARS", pos) + 1
-        except ValueError:
-            break
-        name = tokens[pos]
-        start = tokens.index("default", pos) + 1
-        scalars[name] = np.array(tokens[start: start + npts], dtype=float)
-        pos = start
-    return points, cells, scalars

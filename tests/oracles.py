@@ -113,6 +113,25 @@ def element_stars(mesh):
     return [np.array(sorted(star)) for star in stars]
 
 
+def loop_lumped_mass_vector(mesh):
+    """Hat-function integrals, one third of each element area added to its
+    vertices one vertex column at a time."""
+    d = np.zeros(mesh.num_nodes)
+    share = mesh.areas / 3.0
+    for a in range(3):
+        np.add.at(d, mesh.elements[:, a], share)
+    return d
+
+
+def loop_designated_elements(mesh):
+    """The smallest index of an element adjacent to each node, from a loop
+    over the elements in reverse order."""
+    first = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    for e in range(mesh.num_elements - 1, -1, -1):
+        first[mesh.elements[e]] = e
+    return first
+
+
 def eval_p1(mesh, x, point):
     """Evaluate a nodal field at a point by locating a containing element."""
     for e in range(mesh.num_elements):
@@ -485,3 +504,33 @@ def boundary_mask(mesh):
     mask = np.zeros(mesh.num_nodes, dtype=bool)
     mask[edges[counts[inverse.ravel()] == 1].ravel()] = True
     return mask
+
+
+def read_vtk_point_data(path):
+    """Parse points and point scalars back from a legacy ASCII file, for
+    round trips through the VTK writers.
+
+    Returns (points, cells, {name: values}).
+    """
+    with open(path, "r", encoding="ascii") as f:
+        tokens = f.read().split()
+    idx = tokens.index("POINTS")
+    npts = int(tokens[idx + 1])
+    coords = np.array(tokens[idx + 3: idx + 3 + 3 * npts], dtype=float)
+    points = coords.reshape(npts, 3)[:, :2]
+    idx = tokens.index("CELLS")
+    ncells = int(tokens[idx + 1])
+    raw = np.array(tokens[idx + 3: idx + 3 + 4 * ncells], dtype=int)
+    cells = raw.reshape(ncells, 4)[:, 1:]
+    scalars = {}
+    pos = 0
+    while True:
+        try:
+            pos = tokens.index("SCALARS", pos) + 1
+        except ValueError:
+            break
+        name = tokens[pos]
+        start = tokens.index("default", pos) + 1
+        scalars[name] = np.array(tokens[start: start + npts], dtype=float)
+        pos = start
+    return points, cells, scalars

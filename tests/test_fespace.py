@@ -7,10 +7,12 @@ from pnpfem import (
     assemble_mass,
     assemble_stiffness,
     averaged_interpolate,
+    build_channel,
     build_unit_square,
     lumped_mass_vector,
     nodal_interpolate,
 )
+from pnpfem.fespace import designated_elements
 from pnpfem.scenarios import smooth_n0, smooth_p0
 
 import oracles
@@ -187,10 +189,27 @@ class TestAveragedInterpolation:
         # quadratic integrand, integrated exactly by the degree-5 rule
         f = lambda x, y: x * y + x**2
         v = averaged_interpolate(f, two_elem_mesh)
-        from pnpfem.fespace import designated_elements
         elems = designated_elements(two_elem_mesh)
         for i in range(two_elem_mesh.num_nodes):
             coords = two_elem_mesh.nodes[two_elem_mesh.elements[elems[i]]]
             pts, ws = oracles.quad_points(coords)
             expected = (ws @ f(pts[:, 0], pts[:, 1])) / ws.sum()
             assert v[i] == pytest.approx(expected, rel=1e-13)
+
+
+# the 64x64 square and the cell-0.1 channel, sizes the march runs on, and a
+# jittered Delaunay mesh whose element order follows no grid
+SETUP_MESHES = {
+    "square64": lambda: build_unit_square(64),
+    "channel": lambda: build_channel(0.1),
+    "delaunay": lambda: oracles.jittered_delaunay_mesh(20, 0.3, 1),
+}
+
+
+@pytest.mark.parametrize("where", sorted(SETUP_MESHES))
+def test_setup_vectors_match_the_element_loops(where):
+    mesh = SETUP_MESHES[where]()
+    assert np.array_equal(lumped_mass_vector(mesh),
+                          oracles.loop_lumped_mass_vector(mesh))
+    assert np.array_equal(designated_elements(mesh),
+                          oracles.loop_designated_elements(mesh))

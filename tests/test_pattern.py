@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from pnpfem import (
     Assemblies,
     BoundarySpec,
+    Mesh,
     SolverConfig,
     State,
     assemble_drift,
@@ -18,7 +19,9 @@ from pnpfem import (
     build_stabilizer_alg2,
     build_sym_stencils,
     build_unit_square,
+    check_acuteness,
     compute_alpha,
+    dissipation_Dh,
     entropy_functions,
     star_transport_vector,
 )
@@ -37,6 +40,14 @@ def _close(got, expected):
                 else np.asarray(expected))
     scale = max(np.abs(expected).max(), np.finfo(float).tiny)
     return np.abs(got - expected).max() <= REL * scale
+
+
+def _on_the_pattern(B, mesh):
+    """The stabilizer's values are its matrix's entries on the P1 pattern."""
+    A = B.matrix
+    return (np.array_equal(A.indptr, mesh.pattern_indptr)
+            and np.array_equal(A.indices, mesh.pattern_indices)
+            and np.array_equal(B.values, A.data))
 
 
 MESHES = {
@@ -144,6 +155,39 @@ def test_matrix_off_the_pattern_rejected(case):
                           np.asarray(K[mesh.edge_i, mesh.edge_j]).ravel())
 
 
+# every public function that reads the pattern slots of a matrix argument,
+# called with X in the place of that argument
+PATTERN_READERS = {
+    "alg1_mass": lambda c, X: build_stabilizer_alg1(
+        +1, 0.01, c["alpha"], c["mesh"], X, c["K"], c["G"]),
+    "alg1_stiffness": lambda c, X: build_stabilizer_alg1(
+        +1, 0.01, c["alpha"], c["mesh"], c["M"], X, c["G"]),
+    "alg1_drift": lambda c, X: build_stabilizer_alg1(
+        +1, 0.01, c["alpha"], c["mesh"], c["M"], c["K"], X),
+    "alg2": lambda c, X: build_stabilizer_alg2(
+        +1, c["x"], c["phi"], c["alpha"], c["fns"], X, c["mesh"]),
+    "transport": lambda c, X: star_transport_vector(
+        c["x"], c["phi"], c["fns"], X, c["mesh"]),
+    "dissipation": lambda c, X: dissipation_Dh(
+        c["x"], c["phi"], X, c["fns"], c["mesh"]),
+    "acuteness": lambda c, X: check_acuteness(c["mesh"], X),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(PATTERN_READERS))
+def test_pruned_matrix_rejected_by_every_reader(case, reader):
+    mesh, K = case["mesh"], case["K"]
+    c = dict(case, alpha=np.ones(mesh.num_nodes),
+             G=assemble_drift(mesh, case["phi"]))
+    read = PATTERN_READERS[reader]
+    read(c, K)  # the stiffness itself is on the pattern
+    pruned = K.copy()
+    pruned.data[mesh.edge_slots[0]] = 0.0
+    pruned.eliminate_zeros()
+    with pytest.raises(ValueError, match="pattern"):
+        read(c, pruned)
+
+
 def test_mass_stiffness_drift(case):
     mesh, phi = case["mesh"], case["phi"]
     assert _close(case["M"], oracles.coo_mass(mesh))
@@ -160,6 +204,7 @@ def test_stabilizer_alg1(case, sign):
     B = build_stabilizer_alg1(sign, 0.01, alpha, mesh, M, K, G)
     assert _close(B.matrix, oracles.coo_stabilizer_alg1(
         sign, 0.01, alpha, mesh, M, K, G))
+    assert _on_the_pattern(B, mesh)
 
 
 def _with_underflowing_pairs(case):
@@ -185,6 +230,7 @@ def test_stabilizer_alg2(case, sign):
                                            K, mesh)
     assert abs(expected).max() > 0.0
     assert _close(B.matrix, expected)
+    assert _on_the_pattern(B, mesh)
     x = _with_underflowing_pairs(case)
     alpha = compute_alpha(x, 2.0, mesh, case["stencil"])
     B = build_stabilizer_alg2(sign, x, phi, alpha, case["fns"], K, mesh)
@@ -192,6 +238,7 @@ def test_stabilizer_alg2(case, sign):
                                            K, mesh)
     assert abs(expected).max() > 0.0
     assert _close(B.matrix, expected)
+    assert _on_the_pattern(B, mesh)
 
 
 def test_star_transport_vector(case):
@@ -284,3 +331,28 @@ def test_residual_matches_term_by_term_oracle(algorithm, where):
     assert stabilized or (algorithm, where) == (2, "delaunay")
     scale = max(np.abs(t).max() for t in terms)
     assert np.abs(r - np.concatenate([r_p, r_n])).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("algorithm, wrapped", [(1, 3), (2, 2)])
+def test_systems_wrap_only_drift_and_results(monkeypatch, algorithm, wrapped):
+    """One coefficient build makes CSR matrices of the two density systems
+    and, under Alg. 1, of the drift; the stabilizers hand over values."""
+    make_mesh, bc = RESIDUAL_CASES["channel"]
+    mesh = make_mesh()
+    asm = Assemblies(mesh, build_sym_stencils(mesh), bc,
+                     entropy_functions(1e-8))
+    rng = np.random.default_rng(5)
+    p, n = rng.uniform(0.5, 2.0, size=(2, mesh.num_nodes))
+    phi = asm.poisson.solve(p - n)
+    ctx = _StepContext(State(p, n, phi, 0.0),
+                       SolverConfig(algorithm=algorithm, k=0.01), asm)
+    calls = []
+    csr = Mesh.csr
+    monkeypatch.setattr(Mesh, "csr",
+                        lambda self, data: calls.append(1) or csr(self, data))
+    A_p, _, A_n, _ = ctx.systems(p, n, phi)
+    assert len(calls) == wrapped
+    for A in (A_p, A_n):
+        assert A.format == "csr"
+        assert np.array_equal(A.indptr, mesh.pattern_indptr)
+        assert np.array_equal(A.indices, mesh.pattern_indices)

@@ -19,7 +19,8 @@ from pnpfem import diagnostics
 from pnpfem.cli import main as cli_main
 from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
 from pnpfem.scenarios import ConfigError, scenario_from_config
-from pnpfem.vtk_io import read_vtk_point_data
+
+from oracles import read_vtk_point_data
 
 
 class TestBuiltinScenarios:

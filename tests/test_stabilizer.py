@@ -142,7 +142,7 @@ class TestStabilizerAlg1:
         G = assemble_drift(mesh, phi)
         B = build_stabilizer_alg1(-1, 0.5, alpha, mesh, square8_ops["mass"],
                                   square8_ops["stiffness"], G)
-        assert np.abs(B @ np.full(mesh.num_nodes, 3.3)).max() < 1e-12
+        assert np.abs(B.matrix @ np.full(mesh.num_nodes, 3.3)).max() < 1e-12
 
     def test_rejects_bad_timestep_and_sign(self, square8, square8_ops):
         mesh, M, K = square8, square8_ops["mass"], square8_ops["stiffness"]
