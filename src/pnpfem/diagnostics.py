@@ -128,16 +128,23 @@ def write_csv(path, reports):
 
 
 def read_csv(path):
-    """Read a diagnostics CSV back into StepReport objects."""
+    """Read a diagnostics CSV back into StepReport objects.
+
+    Raises ``ValueError`` for an unexpected header and, naming its line, for
+    a row whose field count differs from the header's.
+    """
     with open(path, "r", encoding="ascii") as f:
         header = f.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         reports = []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             parts = line.strip().split(",")
+            if len(parts) != len(CSV_COLUMNS):
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} "
+                                 f"fields, the header {len(CSV_COLUMNS)}")
             kw = {}
             for name, raw in zip(CSV_COLUMNS, parts):
                 kw[name] = int(raw) if name in _INT_COLUMNS else float(raw)

@@ -76,6 +76,16 @@ def assemble_drift(mesh, phi):
     return _accumulate(mesh, local)
 
 
+def _finite(vals, mesh):
+    """``vals``; raises ``ValueError`` naming the first node at which an
+    interpolated value is not finite."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"interpolated value at node {bad[0]} "
+                         f"{tuple(mesh.nodes[bad[0]].tolist())} is not finite")
+    return vals
+
+
 def nodal_interpolate(f, mesh):
     """Nodal interpolation: evaluate f(x, y) at every node.
 
@@ -84,13 +94,7 @@ def nodal_interpolate(f, mesh):
     vals = np.asarray(
         f(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float
     )
-    vals = np.broadcast_to(vals, (mesh.num_nodes,)).copy()
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(
-            f"interpolated value at node {bad} {tuple(mesh.nodes[bad])} is not finite"
-        )
-    return vals
+    return _finite(np.broadcast_to(vals, (mesh.num_nodes,)).copy(), mesh)
 
 
 def designated_elements(mesh):
@@ -109,7 +113,8 @@ def averaged_interpolate(f, mesh):
 
     Node i receives the mean of f over its designated adjacent element,
     computed with the positive-weight degree-5 rule, so every nodal value
-    stays within the range of f.
+    stays within the range of f.  Raises ``ValueError`` naming the first
+    node whose mean is not finite.
     """
     elems = designated_elements(mesh)
     tri = mesh.elements[elems]
@@ -118,4 +123,4 @@ def averaged_interpolate(f, mesh):
     for lam, w in zip(TRI_QUAD_BARY, TRI_QUAD_WEIGHTS):
         q = lam[0] * p0 + lam[1] * p1 + lam[2] * p2
         vals += w * np.asarray(f(q[:, 0], q[:, 1]), dtype=float)
-    return vals
+    return _finite(vals, mesh)

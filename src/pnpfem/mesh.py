@@ -6,6 +6,8 @@ stencil records, for every directed neighbor pair (i, j), the point where the
 ray from node j through node i leaves the star of i.
 """
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -218,44 +220,55 @@ class Mesh:
         return float(self.areas.sum())
 
 
-def build_unit_square(n, offset=(-0.5, -0.5)):
-    """Structured triangulation of a unit square by n x n cells.
+def _whole(name, value, minimum=1):
+    """``value`` as an int of at least ``minimum``; a bool, a fraction, a
+    non-number or a smaller value is refused."""
+    whole = (isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not (whole and value >= minimum):
+        raise ValueError(f"{name!r} must be a whole number of at least "
+                         f"{minimum}, got {value!r}")
+    return int(value)
+
+
+def _split_cells(ci, cj, vid, short_diagonal=False):
+    """Two counterclockwise triangles per cell (ci[c], cj[c]), cell by cell,
+    with ``vid[gi, gj]`` the node at grid point (gi, gj).  A cell is split
+    along its southwest-northeast diagonal, or with ``short_diagonal`` along
+    the other one, the short diagonal of a cell sheared to the right."""
+    v00, v10 = vid[ci, cj], vid[ci + 1, cj]
+    v01, v11 = vid[ci, cj + 1], vid[ci + 1, cj + 1]
+    if short_diagonal:
+        pair = (v00, v10, v01), (v10, v11, v01)
+    else:
+        pair = (v00, v10, v11), (v00, v11, v01)
+    return np.array(pair).transpose(2, 0, 1).reshape(-1, 3)
+
+
+def build_unit_square(n):
+    """Structured triangulation of the unit square [-0.5,0.5]^2 by n x n cells.
 
     Each cell is split along its southwest-northeast diagonal, so interior
-    nodes have six neighbors.  The default offset centers the square at the
-    origin.
+    nodes have six neighbors.  Node (i, j) is number i (n+1) + j.
 
     Parameters
     ----------
     n : int
-        Subdivisions per side; must be >= 2.
-    offset : pair of float
-        Coordinates of the lower-left corner.
+        Subdivisions per side; must be a whole number >= 2.
 
     Returns
     -------
     Mesh
         (n+1)^2 nodes, 2 n^2 elements, boundary tagged ``other_boundary``.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    ox, oy = float(offset[0]), float(offset[1])
-    xs = ox + np.arange(n + 1) / n
-    ys = oy + np.arange(n + 1) / n
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    n = _whole("n", n, minimum=2)
+    xs = -0.5 + np.arange(n + 1) / n
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            elements.append([v00, v10, v11])
-            elements.append([v00, v11, v01])
-    return Mesh(nodes, np.array(elements))
+    ci, cj = np.divmod(np.arange(n * n), n)
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    return Mesh(nodes, _split_cells(ci, cj, vid))
 
 
 def build_channel(cell):
@@ -264,7 +277,9 @@ def build_channel(cell):
     The domain is the union of a bottom reservoir [-2,2]x[0,1.5], a channel
     [-1,1]x[1.5,5.5] and a top reservoir [-2,2]x[5.5,7].  Boundary nodes are
     tagged ``bottom`` (y=0), ``top`` (y=7), ``membrane`` (the channel walls
-    x=+-1, 1.5<=y<=5.5) and ``other_boundary`` elsewhere.
+    x=+-1, 1.5<=y<=5.5) and ``other_boundary`` elsewhere.  Nodes are
+    numbered by first appearance among the corners (lower left, lower right,
+    upper left, upper right) of the cells, column by column.
 
     Parameters
     ----------
@@ -277,49 +292,24 @@ def build_channel(cell):
         raise ValueError(f"cell={cell!r} does not divide the geometry unit 0.5")
     m = mi
     ncx, ncy = 8 * m, 14 * m  # bounding box in cells: [-2,2] x [0,7]
+    inside = np.ones((ncx, ncy), dtype=bool)
+    inside[:2 * m, 3 * m:11 * m] = inside[6 * m:, 3 * m:11 * m] = False
+    ci, cj = np.nonzero(inside)
+    corners = (ci * (ncy + 1) + cj)[:, None] + [0, ncy + 1, 1, ncy + 2]
+    grid, first = np.unique(corners, return_index=True)
+    grid = grid[np.argsort(first)]
+    vid = np.full((ncx + 1, ncy + 1), -1)
+    vid.flat[grid] = np.arange(grid.size)
+    gi, gj = np.divmod(grid, ncy + 1)
+    nodes = np.column_stack([-2.0 + 4.0 * (gi / ncx), 7.0 * (gj / ncy)])
 
-    def cell_included(ci, cj):
-        if 3 * m <= cj < 11 * m:
-            return 2 * m <= ci < 6 * m
-        return True
-
-    node_id = {}
-    nodes = []
-    grid_pos = []
-
-    def vid(gi, gj):
-        key = (gi, gj)
-        if key not in node_id:
-            node_id[key] = len(nodes)
-            nodes.append((-2.0 + 4.0 * (gi / ncx), 7.0 * (gj / ncy)))
-            grid_pos.append(key)
-        return node_id[key]
-
-    elements = []
-    for ci in range(ncx):
-        for cj in range(ncy):
-            if not cell_included(ci, cj):
-                continue
-            v00, v10 = vid(ci, cj), vid(ci + 1, cj)
-            v01, v11 = vid(ci, cj + 1), vid(ci + 1, cj + 1)
-            elements.append([v00, v10, v11])
-            elements.append([v00, v11, v01])
-
-    mesh = Mesh(np.array(nodes), np.array(elements))
-    tags = np.full(mesh.num_nodes, INTERIOR, dtype=object)
-    for k, (gi, gj) in enumerate(grid_pos):
-        if not mesh.boundary_mask[k]:
-            continue
-        if gj == 0:
-            tags[k] = BOTTOM
-        elif gj == ncy:
-            tags[k] = TOP
-        elif gi in (2 * m, 6 * m) and 3 * m <= gj <= 11 * m:
-            tags[k] = MEMBRANE
-        else:
-            tags[k] = OTHER_BOUNDARY
-    mesh.boundary_tags = tags
-    return mesh
+    # a grid point is on the boundary iff one of its four cells is missing
+    cells = np.pad(inside, 1)
+    full = cells[:-1, :-1] & cells[1:, :-1] & cells[:-1, 1:] & cells[1:, 1:]
+    wall = ((gi == 2 * m) | (gi == 6 * m)) & (3 * m <= gj) & (gj <= 11 * m)
+    tags = np.select([full[gi, gj], gj == 0, gj == ncy, wall],
+                     [INTERIOR, BOTTOM, TOP, MEMBRANE], OTHER_BOUNDARY)
+    return Mesh(nodes, _split_cells(ci, cj, vid), tags)
 
 
 def build_equilateral_strip(nx, ny, side=1.0):
@@ -327,36 +317,24 @@ def build_equilateral_strip(nx, ny, side=1.0):
 
     Row j is shifted right by j*side/2, which makes every triangle
     equilateral and the assembled stiffness matrix strictly acute; this is
-    the mesh used to exercise the discrete entropy law.
+    the mesh used to exercise the discrete entropy law.  Node (i, j) is
+    number i (ny+1) + j.
 
     Parameters
     ----------
     nx, ny : int
-        Cells along the base and the height.
+        Cells along the base and the height; whole numbers >= 1.
     side : float
         Triangle side length.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError("nx and ny must be >= 1")
+    nx, ny = _whole("nx", nx), _whole("ny", ny)
     a = float(side)
-    hrow = a * np.sqrt(3.0) / 2.0
-    nodes = []
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            nodes.append((i * a + 0.5 * a * j, j * hrow))
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    elements = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # split along the short diagonal of the sheared cell
-            elements.append([v00, v10, v01])
-            elements.append([v10, v11, v01])
-    return Mesh(np.array(nodes), np.array(elements))
+    gi, gj = np.divmod(np.arange((nx + 1) * (ny + 1)), ny + 1)
+    nodes = np.column_stack([gi * a + 0.5 * a * gj,
+                             gj * (a * np.sqrt(3.0) / 2.0)])
+    ci, cj = np.divmod(np.arange(nx * ny), ny)
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    return Mesh(nodes, _split_cells(ci, cj, vid, short_diagonal=True))
 
 
 class SymmetricStencil:

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import mesh as meshmod
 from .fespace import averaged_interpolate, nodal_interpolate
-from .solver import BoundarySpec, SolverConfig, _real, _whole
+from .mesh import _whole
+from .solver import BoundarySpec, SolverConfig, _real
 
 BUILTIN_NAMES = ("smooth", "channel_uniform", "channel_wave", "channel_selective")
 

@@ -31,6 +31,7 @@ from .stabilizer import (
     star_transport_vector,
 )
 from . import diagnostics, mesh as meshmod
+from .mesh import _whole
 
 EPSILON_FLOOR = 1e-8
 ELECTRONEUTRALITY_TOL = 1e-2
@@ -74,18 +75,6 @@ class State:
         for name in ("p", "n", "phi"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite values in state field {name}")
-
-
-def _whole(name, value, minimum=1):
-    """``value`` as an int of at least ``minimum``; a bool, a fraction, a
-    non-number or a smaller value is refused."""
-    whole = (isinstance(value, numbers.Integral)
-             and not isinstance(value, bool)
-             or isinstance(value, float) and value.is_integer())
-    if not (whole and value >= minimum):
-        raise ValueError(f"{name!r} must be a whole number of at least "
-                         f"{minimum}, got {value!r}")
-    return int(value)
 
 
 def _real(name, value, kind="positive"):
@@ -312,7 +301,6 @@ class Assemblies:
     def __init__(self, mesh, stencil, bc, fns):
         self.mesh = mesh
         self.stencil = stencil
-        self.bc = bc
         self.fns = fns
         self.mass = assemble_mass(mesh)
         self.d = lumped_mass_vector(mesh)
@@ -509,7 +497,7 @@ class _StepContext:
                       _solve_linear(plan, A_n, b_n, tol))
 
 
-def _picard_step(state, config, bc, asm, bounds=None):
+def _picard_step(state, config, asm, bounds=None):
     """One implicit step: the Picard loop from ``state``.
 
     ``bounds`` is the (lo, hi) range that the discrete maximum principle
@@ -595,20 +583,20 @@ def _picard_step(state, config, bc, asm, bounds=None):
     )
 
 
-def picard_step_alg1(state, config, bc, asm, bounds=None):
+def picard_step_alg1(state, config, asm, bounds=None):
     """Advance one step with the consistent-mass, implicit-drift scheme; see
     ``_picard_step`` for ``bounds`` and the returned tuple."""
     if config.algorithm != 1:
         raise ValueError("config.algorithm must be 1")
-    return _picard_step(state, config, bc, asm, bounds)
+    return _picard_step(state, config, asm, bounds)
 
 
-def picard_step_alg2(state, config, bc, asm, bounds=None):
+def picard_step_alg2(state, config, asm, bounds=None):
     """Advance one step with the lumped-mass, edge-transport scheme; see
     ``_picard_step`` for ``bounds`` and the returned tuple."""
     if config.algorithm != 2:
         raise ValueError("config.algorithm must be 2")
-    return _picard_step(state, config, bc, asm, bounds)
+    return _picard_step(state, config, asm, bounds)
 
 
 class RunResult:
@@ -742,8 +730,8 @@ def run(scenario, on_step=None):
     dmp_bounds = (lo, hi) if in_force["dmp_ok"] else None
     for m in range(1, nsteps + 1):
         try:
-            state, iters, _history, reason, res = step(
-                state, config, scenario.bc, asm, dmp_bounds)
+            state, iters, _history, reason, res = step(state, config, asm,
+                                                       dmp_bounds)
         except (StepError, LinearSolveError) as err:
             err.partial = RunResult(reports, initial_report, state, mesh, asm,
                                     (lo, hi), in_force, stagnated)

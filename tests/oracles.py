@@ -9,6 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from pnpfem import mesh as meshmod
+from pnpfem.mesh import (
+    BOTTOM, INTERIOR, MEMBRANE, OTHER_BOUNDARY, TOP, Mesh)
 
 # degree-5 rule on the reference triangle (barycentric points, weights
 # summing to one); transcribed independently from standard tables
@@ -472,12 +474,153 @@ def coo_residual(algorithm, k, mesh, fns, p_old, n_old, p, n, phi,
     return (r_p, r_n), parts[0] + parts[1]
 
 
+# The per-cell loops that built the three structured meshes: the builders
+# of pnpfem.mesh must give equal nodes, elements and tags.
+def loop_unit_square(n, offset=(-0.5, -0.5)):
+    """Structured triangulation of a unit square by n x n cells.
+
+    Each cell is split along its southwest-northeast diagonal, so interior
+    nodes have six neighbors.  The default offset centers the square at the
+    origin.
+
+    Parameters
+    ----------
+    n : int
+        Subdivisions per side; must be >= 2.
+    offset : pair of float
+        Coordinates of the lower-left corner.
+
+    Returns
+    -------
+    Mesh
+        (n+1)^2 nodes, 2 n^2 elements, boundary tagged ``other_boundary``.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    ox, oy = float(offset[0]), float(offset[1])
+    xs = ox + np.arange(n + 1) / n
+    ys = oy + np.arange(n + 1) / n
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    elements = []
+    for i in range(n):
+        for j in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            elements.append([v00, v10, v11])
+            elements.append([v00, v11, v01])
+    return Mesh(nodes, np.array(elements))
+
+
+def loop_channel(cell):
+    """Structured triangulation of the I-shaped channel domain.
+
+    The domain is the union of a bottom reservoir [-2,2]x[0,1.5], a channel
+    [-1,1]x[1.5,5.5] and a top reservoir [-2,2]x[5.5,7].  Boundary nodes are
+    tagged ``bottom`` (y=0), ``top`` (y=7), ``membrane`` (the channel walls
+    x=+-1, 1.5<=y<=5.5) and ``other_boundary`` elsewhere.
+
+    Parameters
+    ----------
+    cell : float
+        Grid spacing; must divide 0.5 so the corners land on grid points.
+    """
+    m = 0.5 / cell
+    mi = int(round(m))
+    if mi < 1 or abs(m - mi) > 1e-9 * m:
+        raise ValueError(f"cell={cell!r} does not divide the geometry unit 0.5")
+    m = mi
+    ncx, ncy = 8 * m, 14 * m  # bounding box in cells: [-2,2] x [0,7]
+
+    def cell_included(ci, cj):
+        if 3 * m <= cj < 11 * m:
+            return 2 * m <= ci < 6 * m
+        return True
+
+    node_id = {}
+    nodes = []
+    grid_pos = []
+
+    def vid(gi, gj):
+        key = (gi, gj)
+        if key not in node_id:
+            node_id[key] = len(nodes)
+            nodes.append((-2.0 + 4.0 * (gi / ncx), 7.0 * (gj / ncy)))
+            grid_pos.append(key)
+        return node_id[key]
+
+    elements = []
+    for ci in range(ncx):
+        for cj in range(ncy):
+            if not cell_included(ci, cj):
+                continue
+            v00, v10 = vid(ci, cj), vid(ci + 1, cj)
+            v01, v11 = vid(ci, cj + 1), vid(ci + 1, cj + 1)
+            elements.append([v00, v10, v11])
+            elements.append([v00, v11, v01])
+
+    mesh = Mesh(np.array(nodes), np.array(elements))
+    tags = np.full(mesh.num_nodes, INTERIOR, dtype=object)
+    for k, (gi, gj) in enumerate(grid_pos):
+        if not mesh.boundary_mask[k]:
+            continue
+        if gj == 0:
+            tags[k] = BOTTOM
+        elif gj == ncy:
+            tags[k] = TOP
+        elif gi in (2 * m, 6 * m) and 3 * m <= gj <= 11 * m:
+            tags[k] = MEMBRANE
+        else:
+            tags[k] = OTHER_BOUNDARY
+    mesh.boundary_tags = tags
+    return mesh
+
+
+def loop_equilateral_strip(nx, ny, side=1.0):
+    """Sheared-rectangle (parallelogram) mesh of exactly equilateral triangles.
+
+    Row j is shifted right by j*side/2, which makes every triangle
+    equilateral and the assembled stiffness matrix strictly acute; this is
+    the mesh used to exercise the discrete entropy law.
+
+    Parameters
+    ----------
+    nx, ny : int
+        Cells along the base and the height.
+    side : float
+        Triangle side length.
+    """
+    if nx < 1 or ny < 1:
+        raise ValueError("nx and ny must be >= 1")
+    a = float(side)
+    hrow = a * np.sqrt(3.0) / 2.0
+    nodes = []
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            nodes.append((i * a + 0.5 * a * j, j * hrow))
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    elements = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            # split along the short diagonal of the sheared cell
+            elements.append([v00, v10, v01])
+            elements.append([v10, v11, v01])
+    return Mesh(np.array(nodes), np.array(elements))
+
+
 def jittered_delaunay_mesh(n, jitter, seed):
     """Delaunay triangulation of an (n+1) x (n+1) grid of the unit square
     whose interior points are moved by up to ``jitter`` cells."""
     from scipy.spatial import Delaunay
-
-    from pnpfem import Mesh
 
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, n + 1)

@@ -216,6 +216,27 @@ class TestCsvRoundTrip:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
+    def _with_row_changed(self, tmp_path, change):
+        path = tmp_path / "diag.csv"
+        write_csv(path, self._sample_reports())
+        lines = path.read_text().splitlines()
+        lines[2] = change(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_truncated_row_names_its_line(self, tmp_path):
+        path = self._with_row_changed(
+            tmp_path, lambda row: ",".join(row.split(",")[:5]))
+        with pytest.raises(ValueError, match="line 3 has 5 fields, the "
+                                             "header 15"):
+            read_csv(path)
+
+    def test_row_with_extra_fields_names_its_line(self, tmp_path):
+        path = self._with_row_changed(tmp_path, lambda row: row + ",1,2")
+        with pytest.raises(ValueError, match="line 3 has 17 fields, the "
+                                             "header 15"):
+            read_csv(path)
+
     def test_flags_recompute_from_rows(self, tmp_path):
         # flags derived from the persisted columns agree with stored ones
         from pnpfem import BoundarySpec, Scenario, SolverConfig, run

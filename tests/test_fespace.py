@@ -154,7 +154,8 @@ class TestNodalInterpolation:
             out[3] = np.inf
             return out
 
-        with pytest.raises(ValueError, match="node 3"):
+        with pytest.raises(ValueError,
+                           match=r"node 3 \(-0\.5, -0\.125\) is not finite"):
             nodal_interpolate(f, square8)
 
 
@@ -168,6 +169,13 @@ class TestAveragedInterpolation:
         v = averaged_interpolate(lambda x, y: x, single_triangle)
         # mean of x over the triangle is the centroid abscissa
         assert v == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-14)
+
+    def test_nonfinite_raises_with_node(self, square8):
+        # log(x - 10) is NaN on the whole square: node 0 is named first
+        with pytest.raises(ValueError,
+                           match=r"node 0 \(-0\.5, -0\.5\) is not finite"), \
+                np.errstate(invalid="ignore"):
+            averaged_interpolate(lambda x, y: np.log(x - 10), square8)
 
     def test_smooth_data_stay_in_range(self, square8):
         v = averaged_interpolate(smooth_n0, square8)

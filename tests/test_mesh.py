@@ -54,11 +54,6 @@ class TestUnitSquare:
         assert m.total_area() == pytest.approx(1.0, abs=1e-12)
         assert np.all(m.areas > 0)
 
-    def test_offset_places_domain(self):
-        m = build_unit_square(4, offset=(0.0, 0.0))
-        assert m.nodes.min() == 0.0
-        assert m.nodes.max() == 1.0
-
     def test_neighbor_symmetry(self, square4):
         m = square4
         for i in range(m.num_nodes):
@@ -111,6 +106,54 @@ class TestChannel:
     def test_rejects_bad_cell(self):
         with pytest.raises(ValueError):
             build_channel(0.3)
+
+
+MESH_FIELDS = ("nodes", "elements", "boundary_tags")
+
+
+def assert_mesh_matches_loop(got, want):
+    for name in MESH_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestBuildersMatchLoops:
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_unit_square(self, n):
+        assert_mesh_matches_loop(build_unit_square(n),
+                                 oracles.loop_unit_square(n))
+
+    @pytest.mark.parametrize("cell", [0.5, 0.25, 0.5 / 3, 0.1, 0.05])
+    def test_channel(self, cell):
+        assert_mesh_matches_loop(build_channel(cell),
+                                 oracles.loop_channel(cell))
+
+    @pytest.mark.parametrize("args", [(1, 1), (10, 7), (8, 8, 0.125),
+                                      (3, 9, 2.0)])
+    def test_equilateral_strip(self, args):
+        assert_mesh_matches_loop(build_equilateral_strip(*args),
+                                 oracles.loop_equilateral_strip(*args))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 24), m=st.integers(1, 6),
+           nx=st.integers(1, 12), ny=st.integers(1, 12))
+    def test_equal_over_sizes(self, n, m, nx, ny):
+        assert_mesh_matches_loop(build_unit_square(n),
+                                 oracles.loop_unit_square(n))
+        assert_mesh_matches_loop(build_channel(0.5 / m),
+                                 oracles.loop_channel(0.5 / m))
+        assert_mesh_matches_loop(build_equilateral_strip(nx, ny),
+                                 oracles.loop_equilateral_strip(nx, ny))
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_unit_square, (2.5,)),
+    (build_equilateral_strip, (2.5, 3)),
+], ids=["square", "strip"])
+def test_builders_reject_non_whole_counts(build, args):
+    with pytest.raises(ValueError, match="must be a whole number"):
+        build(*args)
 
 
 @pytest.mark.parametrize("make", [

@@ -523,6 +523,15 @@ class TestCli:
         assert err.startswith("error: ") and "taken" in err
         assert taken.read_text() == ""
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in log")
+    @pytest.mark.parametrize("mode", ["nodal", "averaged"])
+    def test_non_finite_initial_data_is_usage_error(self, tmp_path, capsys,
+                                                    mode):
+        cfg = self._neutral_config(
+            tmp_path, initial={"p0": "log(x - 10)", "mode": mode})
+        assert cli_main(["--config", cfg]) == 2
+        assert "node 0 (-0.5, -0.5) is not finite" in capsys.readouterr().err
+
     def test_bool_real_is_usage_error(self, tmp_path, capsys):
         cfg = self._neutral_config(tmp_path, k=True, T=True)
         assert cli_main(["--config", cfg]) == 2

@@ -226,7 +226,7 @@ class TestSteps:
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(0.5))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist, reason, _ = step(state, sc.config, sc.bc, asm)
+        new, iters, hist, reason, _ = step(state, sc.config, asm)
         assert iters == 1 and reason == "converged"
         assert np.abs(new.p - 1.0).max() < 1e-12
         assert np.abs(new.n - 1.0).max() < 1e-12
@@ -243,7 +243,7 @@ class TestSteps:
                          entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist, reason, res = step(state, sc.config, sc.bc, asm)
+        new, iters, hist, reason, res = step(state, sc.config, asm)
         assert hist[-1] <= 1e-6
         assert reason == "converged" and res == hist[-1]
 
@@ -258,7 +258,7 @@ class TestSteps:
                          entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, *_ = step(state, sc.config, sc.bc, asm)
+        new, *_ = step(state, sc.config, asm)
         assert asm.d @ new.p == pytest.approx(asm.d @ p0, rel=1e-11)
         assert asm.d @ new.n == pytest.approx(asm.d @ n0, rel=1e-11)
 
@@ -269,7 +269,7 @@ class TestSteps:
         p0, n0 = sc.initial_fields(mesh)
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(1e-8))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
-        new, iters, hist, *_ = picard_step_alg1(state, sc.config, sc.bc, asm)
+        new, iters, hist, *_ = picard_step_alg1(state, sc.config, asm)
         from pnpfem.solver import _StepContext, _stack
         ctx = _StepContext(state, sc.config, asm)
         res = ctx.residual_norm(_stack(new.p, new.n))
@@ -290,7 +290,7 @@ class TestSteps:
         assert check_acuteness(mesh, asm.stiffness).is_acute
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         config = SolverConfig(algorithm=2, k=1e-3, T=1e-3)
-        new, *_ = picard_step_alg2(state, config, bc, asm)
+        new, *_ = picard_step_alg2(state, config, asm)
         e0 = entropy_Eh(state.p, state.n, state.phi, asm.d, asm.stiffness, fns)
         e1 = entropy_Eh(new.p, new.n, new.phi, asm.d, asm.stiffness, fns)
         assert e1 <= e0 + 1e-8
@@ -305,7 +305,7 @@ class TestSteps:
         sc = unreachable_tolerance(smooth_scenario(1, n=8), 200)
         asm, state, _ = first_state(sc)
         new, iters, hist, reason, res = picard_step_alg1(
-            state, sc.config, sc.bc, asm)
+            state, sc.config, asm)
         assert reason == "stagnated" and iters < 200
         assert res == min(hist) and len(hist) == iters + 1
         assert iters - hist.index(res) == STAGNATION_WINDOW
@@ -321,7 +321,7 @@ class TestSteps:
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(1e-8))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         with pytest.raises(StepError) as err:
-            picard_step_alg1(state, sc.config, sc.bc, asm)
+            picard_step_alg1(state, sc.config, asm)
         assert len(err.value.residual_history) == 4
 
 
@@ -555,7 +555,7 @@ class TestCoefficientReuse:
                                 counted(key, getattr(solver._StepContext,
                                                      attr)))
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        _, iters, *_ = step(state, sc.config, sc.bc, asm)
+        _, iters, *_ = step(state, sc.config, asm)
         assert calls["sweep"] == iters >= 2
         assert calls["alpha"] == 2 * calls["residual"]
 
@@ -605,8 +605,8 @@ class TestAnderson:
         monkeypatch.setattr(solver, "_anderson_mix", recorded_mix)
         monkeypatch.setattr(solver._StepContext, "residual_parts",
                             recorded_residual)
-        new, _, hist, reason, _ = picard_step_alg2(state, sc.config, sc.bc,
-                                                   asm, (lo, hi))
+        new, _, hist, reason, _ = picard_step_alg2(state, sc.config, asm,
+                                                   (lo, hi))
         assert sizes[:2] == ([2, 2] if poison else [2, 3])
         assert lo - 1e-6 not in evaluated
         assert reason == "converged" and hist[-1] <= 1e-6
@@ -624,9 +624,9 @@ class TestAnderson:
         sc.config.T = 2 * sc.config.k
         step, seen = solver.picard_step_alg1, []
 
-        def recorded(state, config, bc, asm, bounds):
+        def recorded(state, config, asm, bounds):
             seen.append(bounds)
-            return step(state, config, bc, asm, bounds)
+            return step(state, config, asm, bounds)
 
         monkeypatch.setattr(solver, "picard_step_alg1", recorded)
         result = run(sc)
