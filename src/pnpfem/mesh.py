@@ -44,8 +44,10 @@ class Mesh:
         Node indices per triangle, counterclockwise.  Every node must belong
         to an element.
     boundary_tags : (N,) array of str, optional
-        Tag per node; interior nodes must carry ``"interior"``.  If omitted,
-        all boundary nodes are tagged ``"other_boundary"``.
+        Tag per node; exactly the nodes off the boundary carry
+        ``"interior"``, or ``ValueError`` names the first node that breaks
+        this.  If omitted, all boundary nodes are tagged
+        ``"other_boundary"``.
 
     Attributes
     ----------
@@ -124,6 +126,12 @@ class Mesh:
             self.boundary_tags = np.asarray(boundary_tags, dtype=object)
             if self.boundary_tags.shape != (self.num_nodes,):
                 raise ValueError("boundary_tags must have one entry per node")
+            bad = (self.boundary_tags == INTERIOR) == self.boundary_mask
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"node {i} is tagged {self.boundary_tags[i]!r}, but "
+                    f"exactly the nodes off the boundary are {INTERIOR!r}")
 
     @property
     def num_nodes(self):

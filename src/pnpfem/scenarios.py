@@ -183,8 +183,7 @@ class ConfigError(ValueError):
 
 _CONFIG_KEYS = {
     "scenario", "algorithm", "k", "T", "q", "mesh", "initial", "bc",
-    "output_dir", "snapshots", "picard_residual_tol", "picard_increment_tol",
-    "picard_max_iters", "linear_tol",
+    "output_dir", "snapshots", "picard_residual_tol", "picard_max_iters",
 }
 _MESH_KEYS = {"n", "cell"}
 _INITIAL_KEYS = {"p0", "n0", "mode"}

@@ -35,7 +35,8 @@ from .mesh import _whole
 
 EPSILON_FLOOR = 1e-8
 ELECTRONEUTRALITY_TOL = 1e-2
-POISSON_LINEAR_TOL = 1e-12
+# the backward-error bound of every linear solve
+LINEAR_TOL = 1e-12
 DMP_TOL = 1e-10
 MASS_DRIFT_TOL = 1e-10
 ENTROPY_STEP_TOL = 1e-8
@@ -90,14 +91,10 @@ def _real(name, value, kind="positive"):
 
 
 class SolverConfig:
-    """Time stepping and nonlinear-iteration parameters.
-
-    ``linear_tol`` bounds the backward error of the density solves.
-    """
+    """Time stepping and nonlinear-iteration parameters."""
 
     def __init__(self, algorithm=1, k=1e-3, T=0.5, q=2.0,
-                 picard_residual_tol=1e-6, picard_increment_tol=1e-16,
-                 picard_max_iters=400, linear_tol=1e-12):
+                 picard_residual_tol=1e-6, picard_max_iters=400):
         self.algorithm = _whole("algorithm", algorithm)
         if self.algorithm not in (1, 2):
             raise ValueError(f"'algorithm' must be 1 or 2, got {algorithm}")
@@ -109,10 +106,7 @@ class SolverConfig:
         self.q = _real("q", q)
         self.picard_residual_tol = _real("picard_residual_tol",
                                          picard_residual_tol)
-        self.picard_increment_tol = _real("picard_increment_tol",
-                                          picard_increment_tol)
         self.picard_max_iters = _whole("picard_max_iters", picard_max_iters)
-        self.linear_tol = _real("linear_tol", linear_tol)
 
 
 def _tag_values(name, values):
@@ -140,6 +134,11 @@ class BoundarySpec:
     @property
     def pure_neumann(self):
         return not self.phi_dirichlet
+
+    @property
+    def isolated(self):
+        """No Dirichlet potential and no pinned cations."""
+        return self.pure_neumann and not self.p_dirichlet
 
     def tagged_nodes(self, mesh, tag_values):
         nodes, values = [], []
@@ -199,11 +198,15 @@ class SolvePlan:
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
 
     def factor(self, data):
-        """SuperLU factors of ``P A P^T`` for the values ``data`` of A."""
+        """SuperLU factors of ``P A P^T`` for the values ``data`` of A; an
+        exactly singular A raises ``LinearSolveError``."""
         n = self.perm.size
         M = sp.csc_matrix((data[self.gather], self.indices, self.indptr),
                           shape=(n, n))
-        return spla.splu(M, permc_spec="NATURAL", options=self._OPTIONS)
+        try:
+            return spla.splu(M, permc_spec="NATURAL", options=self._OPTIONS)
+        except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+            raise LinearSolveError(f"LU factorization failed: {err}") from err
 
     def solve(self, lu, b):
         """x with A x = b, for the factors ``lu`` of ``P A P^T``."""
@@ -226,17 +229,17 @@ class SolvePlan:
         return impose
 
 
-def _check_solve(plan, A, x, b, tol, what):
+def _check_solve(plan, A, x, b, what):
     """``x`` if its backward error ||A x - b|| / max(||A| |x|| + ||b||, tiny)
-    is at most 1e3 ``tol`` in the max norm, for a CSR matrix ``A`` on the
-    plan's pattern; else a ``LinearSolveError`` that names ``what``."""
+    is at most 1e3 ``LINEAR_TOL`` in the max norm, for a CSR matrix ``A`` on
+    the plan's pattern; else a ``LinearSolveError`` that names ``what``."""
     resid = float(np.abs(A @ x - b).max(initial=0.0))
     abs_ax = np.bincount(plan.rows,
                          weights=np.abs(A.data) * np.abs(x)[plan.cols],
                          minlength=plan.perm.size)
     scale = float(abs_ax.max(initial=0.0) + np.abs(b).max(initial=0.0))
     err = resid / max(scale, np.finfo(float).tiny)
-    if not np.isfinite(err) or err > 1e3 * tol:
+    if not np.isfinite(err) or err > 1e3 * LINEAR_TOL:
         raise LinearSolveError(
             f"{what} solve backward error {err:g} exceeds tolerance")
     return x
@@ -291,8 +294,7 @@ class PoissonSolver:
         if self.pure_neumann:
             phi -= diagnostics.dot(self.d, phi) / self.area
             rhs = b
-        return _check_solve(self.plan, self._A, phi, rhs, POISSON_LINEAR_TOL,
-                            "potential")
+        return _check_solve(self.plan, self._A, phi, rhs, "potential")
 
 
 class Assemblies:
@@ -325,21 +327,20 @@ def epsilon_for_scenario(p0, n0, bc):
     emptied wall node and makes it negative.  Both are floored, because
     saturated initial data can reach exactly zero in floating point.
     """
-    if bc.pure_neumann and not bc.p_dirichlet:
+    if bc.isolated:
         m = 0.5 * min(float(np.min(p0)), float(np.min(n0)))
         return max(m, EPSILON_FLOOR)
     return EPSILON_FLOOR
 
 
-def backtracking_search(prev, candidate, residual_fn,
-                        shrink=LINE_SEARCH_SHRINK,
-                        max_halvings=LINE_SEARCH_HALVINGS,
-                        prev_residual=None, good_enough=None):
+def backtracking_search(prev, candidate, residual_fn, prev_residual=None,
+                        good_enough=None):
     """Damped update selection between a previous iterate and a candidate.
 
-    Tries theta in {1, shrink, shrink^2, ...} and returns
-    ``prev + theta (candidate - prev)`` for the first theta whose residual is
-    below ``good_enough`` or strictly below the residual at ``prev``.  If no
+    Tries theta = ``LINE_SEARCH_SHRINK``^j, j = 0..``LINE_SEARCH_HALVINGS``,
+    and returns ``prev + theta (candidate - prev)`` for the first theta whose
+    residual is below ``good_enough`` or strictly below the residual at
+    ``prev``.  If no
     theta reduces the residual, the most-damped iterate is returned with the
     no-decrease flag set.
 
@@ -355,13 +356,13 @@ def backtracking_search(prev, candidate, residual_fn,
     direction = candidate - prev
     theta = 1.0
     trial, r = prev, r_prev
-    for _ in range(max_halvings + 1):
+    for _ in range(LINE_SEARCH_HALVINGS + 1):
         trial = prev + theta * direction
         r = residual_fn(trial)
         if (good_enough is not None and r <= good_enough) or r < r_prev:
             return trial, theta, r, False
-        theta *= shrink
-    return trial, theta / shrink, r, True
+        theta *= LINE_SEARCH_SHRINK
+    return trial, theta / LINE_SEARCH_SHRINK, r, True
 
 
 def _anderson_mix(pairs):
@@ -396,13 +397,10 @@ def _unstack(z, n_nodes):
     return z[:n_nodes], z[n_nodes:]
 
 
-def _solve_linear(plan, A, b, linear_tol):
+def _solve_linear(plan, A, b):
     """Solve with the CSR matrix ``A`` on the mesh's P1 pattern."""
-    try:
-        lu = plan.factor(A.data)
-    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        raise LinearSolveError(f"density solve failed: {err}") from err
-    return _check_solve(plan, A, plan.solve(lu, b), b, linear_tol, "density")
+    x = plan.solve(plan.factor(A.data), b)
+    return _check_solve(plan, A, x, b, "density")
 
 
 class _StepContext:
@@ -492,9 +490,9 @@ class _StepContext:
                                 and np.array_equal(kept[1], n)):
             self.residual_parts(p, n)
         A_p, b_p, A_n, b_n = self._kept[3]
-        plan, tol = self.asm.solve_plan, self.config.linear_tol
-        return _stack(_solve_linear(plan, A_p, b_p, tol),
-                      _solve_linear(plan, A_n, b_n, tol))
+        plan = self.asm.solve_plan
+        return _stack(_solve_linear(plan, A_p, b_p),
+                      _solve_linear(plan, A_n, b_n))
 
 
 def _picard_step(state, config, asm, bounds=None):
@@ -504,10 +502,10 @@ def _picard_step(state, config, asm, bounds=None):
     keeps the densities in, or None where it is not in force.
 
     Returns (new_state, iterations, residual_history, reason, residual),
-    where ``reason`` is "converged" (residual tolerance met), "increment"
-    (increment tolerance met) or "stagnated" (no new best residual in
-    ``STAGNATION_WINDOW`` iterations; the best iterate is returned), and
-    ``residual`` is that of the returned state.
+    where ``reason`` is "converged" (residual tolerance met) or "stagnated"
+    (no new best residual in ``STAGNATION_WINDOW`` iterations; the best
+    iterate is returned), and ``residual`` is that of the returned state.
+    A loop that reaches ``picard_max_iters`` raises ``StepError``.
     """
     ctx = _StepContext(state, config, asm)
     n_nodes = asm.mesh.num_nodes
@@ -535,19 +533,13 @@ def _picard_step(state, config, asm, bounds=None):
         candidate = ctx.linearized_solve(z)
         pairs = pairs[-ANDERSON_DEPTH:] + [(z, candidate)]
         z_new = None
-        if jam_res is not None:
-            pairs = pairs[-1:]
-            z_new = z + LINE_SEARCH_SHRINK * (candidate - z)
-            res = ctx.residual_norm(z_new)
-            if res < jam_res:
-                jam_res = None
-        elif len(pairs) > 1:
+        if jam_res is None and len(pairs) > 1:
             mixed = _anderson_mix(pairs)
             if _admissible(mixed, bounds):
                 res = ctx.residual_norm(mixed)
                 if res < history[-1]:
                     z_new = mixed
-        if z_new is None:
+        if jam_res is None and z_new is None:
             pairs = pairs[-1:]
             z_new, _theta, res, no_decrease = backtracking_search(
                 z, candidate, ctx.residual_norm,
@@ -556,10 +548,15 @@ def _picard_step(state, config, asm, bounds=None):
             )
             if no_decrease and not np.array_equal(candidate, z):
                 jam_res = history[-1]
-                z_new = z + LINE_SEARCH_SHRINK * (candidate - z)
-                res = ctx.residual_norm(z_new)
+        if jam_res is not None:
+            # on entry from a jammed search this repeats the search's trial
+            # at theta = LINE_SEARCH_SHRINK, which did not go below jam_res
+            pairs = pairs[-1:]
+            z_new = z + LINE_SEARCH_SHRINK * (candidate - z)
+            res = ctx.residual_norm(z_new)
+            if res < jam_res:
+                jam_res = None
         # each branch above ends with the residual kept at z_new
-        increment = float(np.sqrt(diagnostics.dot(z_new - z, z_new - z)))
         z = z_new
         history.append(res)
         if res < best_res:
@@ -567,8 +564,6 @@ def _picard_step(state, config, asm, bounds=None):
             best = (z, ctx.phi)
         if res <= config.picard_residual_tol:
             reason, phi = "converged", ctx.phi
-        elif increment <= config.picard_increment_tol:
-            reason, phi = "increment", ctx.phi
         elif it - best_it >= STAGNATION_WINDOW:
             reason, res, (z, phi) = "stagnated", best_res, best
         else:
@@ -711,12 +706,9 @@ def run(scenario, on_step=None):
     )
     acute = meshmod.check_acuteness(mesh, asm.stiffness).is_acute
     in_force = {
-        "dmp_ok": scenario.bc.pure_neumann and not asm.p_fixed.size,
+        "dmp_ok": scenario.bc.isolated,
         "mass_ok": True,
-        "entropy_ok": (
-            config.algorithm == 2 and acute and scenario.bc.pure_neumann
-            and not asm.p_fixed.size
-        ),
+        "entropy_ok": config.algorithm == 2 and acute and scenario.bc.isolated,
         "smallness_ok": False,  # warned about, never enforced
     }
 

@@ -351,6 +351,13 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match=r"element 1 .* outside \[0, 4\)"):
             Mesh(nodes, np.array([[0, 1, 2], [1, 3, bad]]))
 
+    def test_rejects_interior_node_with_boundary_tag(self):
+        m = build_unit_square(2)
+        tags = m.boundary_tags.copy()
+        tags[4] = BOTTOM
+        with pytest.raises(ValueError, match="node 4 is tagged 'bottom'"):
+            Mesh(m.nodes, m.elements, tags)
+
     def test_equilateral_strip_area(self):
         m = build_equilateral_strip(4, 4, side=0.25)
         expected = 32 * (np.sqrt(3.0) / 4.0) * 0.25**2

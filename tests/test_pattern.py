@@ -129,7 +129,7 @@ def test_solve_plan_against_spsolve(where):
     assert np.array_equal(data[plan.gather], expected.data)
 
     A = mesh.csr(data)
-    x = _solve_linear(plan, A, b, 1e-12)
+    x = _solve_linear(plan, A, b)
     x_ref = spla.spsolve(A.tocsc(), b)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 

@@ -137,6 +137,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["picard_increment_tol", "linear_tol"])
+    def test_dropped_tolerance_keys_are_unknown(self, tmp_path, key):
+        path = self._write(tmp_path, {"scenario": "smooth", key: 1e-12})
+        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+            parse_config(path)
+
     def test_nested_unknown_key_rejected(self, tmp_path):
         path = self._write(tmp_path, {"mesh": {"cells": 3}})
         with pytest.raises(ConfigError, match="mesh"):
@@ -397,8 +403,8 @@ class TestCli:
         path = tmp_path / "stagnating.json"
         path.write_text(json.dumps({
             "scenario": "smooth", "mesh": {"n": 12}, "k": 1e-3, "T": 2e-3,
-            "picard_residual_tol": 1e-300, "picard_increment_tol": 1e-300,
-            "picard_max_iters": 200, "output_dir": str(tmp_path / "out")}))
+            "picard_residual_tol": 1e-300, "picard_max_iters": 200,
+            "output_dir": str(tmp_path / "out")}))
         with pytest.warns(RuntimeWarning, match="stagnated"):
             assert cli_main(["--config", str(path)]) == 0
         assert "smooth: 2 steps (2 stagnated), final" in \

@@ -23,14 +23,16 @@ from pnpfem import (
     run,
 )
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
-from pnpfem.mesh import BOTTOM, OTHER_BOUNDARY, TOP
+from pnpfem.mesh import BOTTOM, OTHER_BOUNDARY, TOP, Mesh
 from pnpfem.scenarios import smooth_n0, smooth_p0
 from pnpfem.solver import (
     ANDERSON_DEPTH,
     DMP_TOL,
     STAGNATION_WINDOW,
+    LINEAR_TOL,
     SolvePlan,
     _anderson_mix,
+    _check_solve,
     _solve_linear,
     epsilon_for_scenario,
 )
@@ -67,7 +69,6 @@ def first_state(sc):
 
 def unreachable_tolerance(sc, max_iters):
     sc.config.picard_residual_tol = 1e-300
-    sc.config.picard_increment_tol = 1e-300
     sc.config.picard_max_iters = max_iters
     return sc
 
@@ -191,15 +192,32 @@ class TestBacktracking:
         assert flag
         assert accepted == pytest.approx(prev)
 
-    def test_no_decrease_returns_most_damped(self):
+    def test_no_decrease_returns_most_damped(self, monkeypatch):
+        import pnpfem.solver as solver
+        monkeypatch.setattr(solver, "LINE_SEARCH_HALVINGS", 4)
         residual = lambda z: 1.0 + float(np.abs(z).max())
         prev = np.zeros(2)
         cand = np.ones(2)
-        accepted, theta, res, flag = backtracking_search(
-            prev, cand, residual, shrink=0.5, max_halvings=4)
+        accepted, theta, res, flag = backtracking_search(prev, cand, residual)
         assert flag
         assert theta == pytest.approx(0.5**4)
         assert accepted == pytest.approx(prev + 0.5**4 * (cand - prev))
+
+    def test_shrink_factor_is_the_module_constant(self, monkeypatch):
+        import pnpfem.solver as solver
+        monkeypatch.setattr(solver, "LINE_SEARCH_SHRINK", 0.25)
+        monkeypatch.setattr(solver, "LINE_SEARCH_HALVINGS", 3)
+        thetas = []
+
+        def residual(z):
+            thetas.append(float(z[0]))
+            return 1.0 + float(np.abs(z).max())
+
+        accepted, theta, res, flag = backtracking_search(
+            np.zeros(1), np.ones(1), residual)
+        assert flag
+        assert thetas[1:] == [1.0, 0.25, 0.25**2, 0.25**3]
+        assert theta == 0.25**3
 
     def test_good_enough_shortcut(self):
         calls = []
@@ -313,6 +331,20 @@ class TestSteps:
         ctx = _StepContext(state, sc.config, asm)
         assert ctx.residual_norm(_stack(new.p, new.n)) == res
 
+    def test_roundoff_floor_ends_alg2_step_as_stagnated(self):
+        # only the residual tolerance is out of reach: the step ends at the
+        # stagnation exit with its best residual, whatever the increments
+        sc = smooth_scenario(2, n=8)
+        sc.config.picard_residual_tol = 1e-300
+        asm, state, _ = first_state(sc)
+        _, iters, hist, reason, res = picard_step_alg2(state, sc.config, asm)
+        assert reason == "stagnated" and res == min(hist)
+        assert iters - hist.index(res) == STAGNATION_WINDOW
+        with pytest.warns(RuntimeWarning, match="stagnated") as caught:
+            result = run(sc)
+        assert result.stagnated_steps == list(range(1, 6))
+        assert sum("stagnated" in str(w.message) for w in caught) == 5
+
     def test_unreachable_tolerance_raises_step_error(self):
         sc = unreachable_tolerance(smooth_scenario(1), 3)
         mesh = sc.make_mesh()
@@ -382,6 +414,19 @@ class TestRun:
             run(sc, on_step=lambda m, s: steps.append(m))
         assert len(err.value.partial.reports) == 2
 
+    def test_singular_potential_system_raises_linear_solve_error(self):
+        # two disconnected triangles under pure Neumann data: grounding
+        # node 0 leaves the second triangle's potential undetermined
+        mesh = Mesh([[0, 0], [1, 0], [0, 1], [3, 0], [4, 0], [3, 1]],
+                    [[0, 1, 2], [3, 4, 5]])
+        ones = lambda x, y: np.ones_like(x)
+        sc = Scenario("split", ("mesh", mesh), (ones, ones, "nodal"),
+                      BoundarySpec(), SolverConfig(k=1e-2, T=2e-2))
+        with pytest.raises(LinearSolveError, match="singular") as err:
+            run(sc)
+        assert err.traceback[-1].name == "factor"
+        assert isinstance(err.value.__cause__, RuntimeError)
+
     def test_stagnated_step_is_recorded_and_warned(self):
         sc = unreachable_tolerance(smooth_scenario(1, T=2e-3), 200)
         with pytest.warns(RuntimeWarning, match="stagnated") as caught:
@@ -438,10 +483,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(picard_residual_tol=-1.0)
 
+    @pytest.mark.parametrize("name", ["picard_increment_tol", "linear_tol"])
+    def test_dropped_fields_are_rejected(self, name):
+        with pytest.raises(TypeError, match=name):
+            SolverConfig(**{name: 1e-12})
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("name", [
-        "k", "T", "q", "picard_residual_tol", "picard_increment_tol",
-        "linear_tol"])
+        "k", "T", "q", "picard_residual_tol"])
     def test_rejects_non_finite_values(self, name, value):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
@@ -472,8 +521,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
     @pytest.mark.parametrize("name", [
-        "k", "T", "q", "picard_residual_tol", "picard_increment_tol",
-        "linear_tol"])
+        "k", "T", "q", "picard_residual_tol"])
     def test_rejects_bools_and_non_numbers_for_reals(self, name, value):
         with pytest.raises(ValueError, match=f"'{name}' must be a finite"):
             SolverConfig(**{name: value})
@@ -496,6 +544,11 @@ class TestBoundarySpecValidation:
         with pytest.raises(ValueError, match="'phi_dirichlet' must map"):
             BoundarySpec(phi_dirichlet=value)
 
+    @pytest.mark.parametrize("phi, p, isolated", [
+        ({}, {}, True), ({BOTTOM: 1.0}, {}, False), ({}, {TOP: 1.0}, False)])
+    def test_isolated_means_no_dirichlet_data(self, phi, p, isolated):
+        assert BoundarySpec(phi, p).isolated is isolated
+
     def test_values_stored_as_float(self):
         bc = BoundarySpec(phi_dirichlet={BOTTOM: -1, TOP: np.float32(2.0)})
         assert bc.phi_dirichlet == {BOTTOM: -1.0, TOP: 2.0}
@@ -510,8 +563,7 @@ class TestSolvePlan:
         data[mesh.diag_slots] = 8.0
         data[mesh.pattern_indptr[7]:mesh.pattern_indptr[8]] = 0.0
         with pytest.raises(LinearSolveError, match="singular") as err:
-            _solve_linear(plan, mesh.csr(data), np.ones(mesh.num_nodes),
-                          1e-12)
+            _solve_linear(plan, mesh.csr(data), np.ones(mesh.num_nodes))
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_nan_right_side_fails_the_backward_error_gate(self):
@@ -522,7 +574,52 @@ class TestSolvePlan:
         b = np.ones(mesh.num_nodes)
         b[3] = np.nan
         with pytest.raises(LinearSolveError, match="density"):
-            _solve_linear(plan, mesh.csr(data), b, 1e-12)
+            _solve_linear(plan, mesh.csr(data), b)
+
+    def test_factor_raises_linear_solve_error_on_singular_data(self):
+        mesh = build_unit_square(4)
+        plan = SolvePlan(mesh)
+        data = np.full(mesh.pattern_nnz, -1.0)
+        data[mesh.diag_slots] = 8.0
+        data[mesh.pattern_indptr[7]:mesh.pattern_indptr[8]] = 0.0
+        with pytest.raises(LinearSolveError, match="exactly singular"):
+            plan.factor(data)
+
+    @pytest.mark.parametrize("ratio, passes", [(0.5, True), (2.0, False)])
+    def test_backward_error_gate_is_1e3_linear_tol(self, ratio, passes):
+        mesh = build_unit_square(4)
+        plan = SolvePlan(mesh)
+        data = np.full(mesh.pattern_nnz, -1.0)
+        data[mesh.diag_slots] = 8.0
+        A = mesh.csr(data)
+        x = np.linspace(1.0, 2.0, mesh.num_nodes)
+        b = A @ x
+        scale = float((abs(A) @ x).max() + np.abs(b).max())
+        b[0] += ratio * 1e3 * LINEAR_TOL * scale
+        if passes:
+            assert _check_solve(plan, A, x, b, "density") is x
+        else:
+            with pytest.raises(LinearSolveError, match="density"):
+                _check_solve(plan, A, x, b, "density")
+
+    @pytest.mark.parametrize("what", ["potential", "density"])
+    def test_one_bound_gates_every_solve(self, what, rng, monkeypatch):
+        # below any roundoff backward error, the one bound trips both solves
+        import pnpfem.solver as solver
+        monkeypatch.setattr(solver, "LINEAR_TOL", 1e-300)
+        mesh = build_unit_square(4)
+        plan = SolvePlan(mesh)
+        rho = rng.normal(size=mesh.num_nodes)
+        with pytest.raises(LinearSolveError, match=what):
+            if what == "potential":
+                d = lumped_mass_vector(mesh)
+                rho -= (d @ rho) / d.sum()
+                PoissonSolver(mesh, assemble_stiffness(mesh), d,
+                              BoundarySpec(), plan).solve(rho)
+            else:
+                data = np.full(mesh.pattern_nnz, -1.0)
+                data[mesh.diag_slots] = 8.0
+                _solve_linear(plan, mesh.csr(data), rho)
 
 
 class TestCoefficientReuse:
