@@ -37,6 +37,9 @@ EPSILON_FLOOR = 1e-8
 ELECTRONEUTRALITY_TOL = 1e-2
 # the backward-error bound of every linear solve
 LINEAR_TOL = 1e-12
+# a kept density factor is refactored when its corrections do not contract,
+# or when their contraction forecasts more than this many to reach LINEAR_TOL
+LAGGED_CORRECTIONS = 6
 DMP_TOL = 1e-10
 MASS_DRIFT_TOL = 1e-10
 ENTROPY_STEP_TOL = 1e-8
@@ -162,16 +165,16 @@ class SolvePlan:
     is ``A[perm[i], perm[j]]``.  Its CSC values are ``A.data[gather]`` on the
     fixed ``indices`` and ``indptr``; explicit zeros stay in, so the symbolic
     structure does not change between matrices.  SuperLU keeps its partial
-    pivoting.
+    pivoting, but takes the diagonal pivot while it is at least a tenth of
+    its column's largest entry, so the planned fill holds.
     """
 
-    _OPTIONS = dict(SymmetricMode=True)
+    _OPTIONS = dict(SymmetricMode=True, DiagPivotThresh=0.1)
     _ORDERINGS = ("MMD_AT_PLUS_A", "COLAMD")
 
     def __init__(self, mesh):
         n = mesh.num_nodes
         self.rows = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr))
-        self.cols = mesh.pattern_indices
         self.diag_slots = mesh.diag_slots
         # a diagonally dominant matrix on the pattern is nonsingular, and
         # with diagonal pivots its ordering and fill depend on the structure
@@ -191,7 +194,7 @@ class SolvePlan:
         # new[i] is the permuted index of node i
         self.perm = np.argsort(new)
         # the permuted matrix's entries in CSC order: by column, then row
-        rows, cols = new[self.rows], new[self.cols]
+        rows, cols = new[self.rows], new[mesh.pattern_indices]
         self.gather = np.lexsort((rows, cols))
         self.indices = rows[self.gather].astype(np.intc)
         self.indptr = np.zeros(n + 1, dtype=np.intc)
@@ -229,20 +232,82 @@ class SolvePlan:
         return impose
 
 
-def _check_solve(plan, A, x, b, what):
-    """``x`` if its backward error ||A x - b|| / max(||A| |x|| + ||b||, tiny)
-    is at most 1e3 ``LINEAR_TOL`` in the max norm, for a CSR matrix ``A`` on
-    the plan's pattern; else a ``LinearSolveError`` that names ``what``."""
-    resid = float(np.abs(A @ x - b).max(initial=0.0))
-    abs_ax = np.bincount(plan.rows,
-                         weights=np.abs(A.data) * np.abs(x)[plan.cols],
-                         minlength=plan.perm.size)
-    scale = float(abs_ax.max(initial=0.0) + np.abs(b).max(initial=0.0))
-    err = resid / max(scale, np.finfo(float).tiny)
+def _backward_error(A, abs_A, x, b):
+    """(err, r): the residual r = b - A x and the backward error
+    ||r|| / max(||A| |x|| + ||b||, tiny) in the max norm, for a sparse ``A``
+    and its entrywise absolute value ``abs_A``."""
+    r = b - A @ x
+    scale = float((abs_A @ np.abs(x)).max(initial=0.0)
+                  + np.abs(b).max(initial=0.0))
+    return float(np.abs(r).max(initial=0.0)) / max(scale,
+                                                   np.finfo(float).tiny), r
+
+
+def _gate(x, err, what):
+    """``x`` if its backward error ``err`` is at most 1e3 ``LINEAR_TOL``;
+    else a ``LinearSolveError`` that names ``what``."""
     if not np.isfinite(err) or err > 1e3 * LINEAR_TOL:
         raise LinearSolveError(
             f"{what} solve backward error {err:g} exceeds tolerance")
     return x
+
+
+def _check_solve(A, x, b, what):
+    """``x`` through the backward-error gate, for a sparse ``A``."""
+    return _gate(x, _backward_error(A, abs(A), x, b)[0], what)
+
+
+class LaggedFactor:
+    """One species' density solves, with one SuperLU factor kept between
+    them.
+
+    Each system ``A x = b`` is solved with the kept factor, of an earlier
+    and nearby matrix, and corrected by ``x += LU^-1 (b - A x)`` until its
+    backward error is at most ``LINEAR_TOL`` (inexact Picard: Dembo,
+    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  When a
+    correction does not contract the error, or its contraction forecasts
+    more than ``LAGGED_CORRECTIONS`` corrections in all, the current matrix
+    is factored and kept instead; a fresh factor is corrected while that
+    pays.  The old factor is released before the new one is built, so a
+    refactor never holds two factors, which would raise the peak memory.
+    Every answer ends at the gate that ``_check_solve`` applies, 1e3
+    ``LINEAR_TOL``.
+    """
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.lu = None
+
+    def solve(self, A, b):
+        """x with A x = b, for a CSR matrix ``A`` on the plan's pattern."""
+        plan, abs_A = self.plan, abs(A)
+        fresh = self.lu is None
+        if fresh:
+            self.lu = plan.factor(A.data)
+        x = plan.solve(self.lu, b)
+        err, r = _backward_error(A, abs_A, x, b)
+        corrections = 0
+        while not err <= LINEAR_TOL:
+            x_new = x + plan.solve(self.lu, r)
+            err_new, r_new = _backward_error(A, abs_A, x_new, b)
+            corrections += 1
+            rho = err_new / err
+            if rho < 1.0:
+                x, err, r = x_new, err_new, r_new
+                if err <= LINEAR_TOL:
+                    break
+                # the corrections in all if each contracts by rho
+                if (corrections + np.log(LINEAR_TOL / err) / np.log(rho)
+                        <= LAGGED_CORRECTIONS):
+                    continue
+            if fresh:
+                break
+            self.lu = None
+            self.lu = plan.factor(A.data)
+            fresh, corrections = True, 0
+            x = plan.solve(self.lu, b)
+            err, r = _backward_error(A, abs_A, x, b)
+        return _gate(x, err, "density")
 
 
 class PoissonSolver:
@@ -294,7 +359,7 @@ class PoissonSolver:
         if self.pure_neumann:
             phi -= diagnostics.dot(self.d, phi) / self.area
             rhs = b
-        return _check_solve(self.plan, self._A, phi, rhs, "potential")
+        return _check_solve(self._A, phi, rhs, "potential")
 
 
 class Assemblies:
@@ -312,6 +377,9 @@ class Assemblies:
                                      self.solve_plan)
         self.p_fixed, self.p_fixed_values = bc.tagged_nodes(mesh, bc.p_dirichlet)
         self.pin_p_rows = self.solve_plan.identity_rows(self.p_fixed)
+        # one kept factor per species, cation first
+        self.density_factors = (LaggedFactor(self.solve_plan),
+                                LaggedFactor(self.solve_plan))
 
 
 def epsilon_for_scenario(p0, n0, bc):
@@ -395,12 +463,6 @@ def _stack(p, n):
 
 def _unstack(z, n_nodes):
     return z[:n_nodes], z[n_nodes:]
-
-
-def _solve_linear(plan, A, b):
-    """Solve with the CSR matrix ``A`` on the mesh's P1 pattern."""
-    x = plan.solve(plan.factor(A.data), b)
-    return _check_solve(plan, A, x, b, "density")
 
 
 class _StepContext:
@@ -490,9 +552,8 @@ class _StepContext:
                                 and np.array_equal(kept[1], n)):
             self.residual_parts(p, n)
         A_p, b_p, A_n, b_n = self._kept[3]
-        plan = self.asm.solve_plan
-        return _stack(_solve_linear(plan, A_p, b_p),
-                      _solve_linear(plan, A_n, b_n))
+        lu_p, lu_n = self.asm.density_factors
+        return _stack(lu_p.solve(A_p, b_p), lu_n.solve(A_n, b_n))
 
 
 def _picard_step(state, config, asm, bounds=None):

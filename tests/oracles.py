@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from pnpfem import mesh as meshmod
+from pnpfem.solver import _check_solve
 from pnpfem.mesh import (
     BOTTOM, INTERIOR, MEMBRANE, OTHER_BOUNDARY, TOP, Mesh)
 
@@ -476,6 +477,13 @@ def coo_residual(algorithm, k, mesh, fns, p_old, n_old, p, n, phi,
 
 # The per-cell loops that built the three structured meshes: the builders
 # of pnpfem.mesh must give equal nodes, elements and tags.
+def direct_solve(plan, A, b):
+    """A density solve with no kept factor: ``A``, a CSR matrix on the P1
+    pattern, is factored afresh, solved once and gated."""
+    x = plan.solve(plan.factor(A.data), b)
+    return _check_solve(A, x, b, "density")
+
+
 def loop_unit_square(n, offset=(-0.5, -0.5)):
     """Structured triangulation of a unit square by n x n cells.
 

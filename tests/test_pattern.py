@@ -26,7 +26,7 @@ from pnpfem import (
     star_transport_vector,
 )
 from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
-from pnpfem.solver import _StepContext, _solve_linear
+from pnpfem.solver import LaggedFactor, _StepContext
 
 import oracles
 
@@ -129,7 +129,7 @@ def test_solve_plan_against_spsolve(where):
     assert np.array_equal(data[plan.gather], expected.data)
 
     A = mesh.csr(data)
-    x = _solve_linear(plan, A, b)
+    x = LaggedFactor(plan).solve(A, b)
     x_ref = spla.spsolve(A.tocsc(), b)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 

@@ -556,7 +556,7 @@ class TestCli:
             self, tmp_path, monkeypatch, capsys):
         import pnpfem.solver as solver
         from pnpfem import LinearSolveError
-        solve, calls = solver._solve_linear, []
+        solve, calls = solver.LaggedFactor.solve, []
 
         def failing(*args):
             calls.append(args)
@@ -564,7 +564,7 @@ class TestCli:
                 raise LinearSolveError("planted failure")
             return solve(*args)
 
-        monkeypatch.setattr(solver, "_solve_linear", failing)
+        monkeypatch.setattr(solver.LaggedFactor, "solve", failing)
         cfg = self._neutral_config(tmp_path)
         assert cli_main(["--config", cfg]) == 3
         assert "planted failure" in capsys.readouterr().err

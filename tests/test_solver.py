@@ -24,16 +24,18 @@ from pnpfem import (
 )
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
 from pnpfem.mesh import BOTTOM, OTHER_BOUNDARY, TOP, Mesh
-from pnpfem.scenarios import smooth_n0, smooth_p0
+from pnpfem.scenarios import builtin_scenario, smooth_n0, smooth_p0
 from pnpfem.solver import (
     ANDERSON_DEPTH,
     DMP_TOL,
     STAGNATION_WINDOW,
     LINEAR_TOL,
+    LaggedFactor,
     SolvePlan,
+    _StepContext,
     _anderson_mix,
+    _backward_error,
     _check_solve,
-    _solve_linear,
     epsilon_for_scenario,
 )
 
@@ -563,7 +565,8 @@ class TestSolvePlan:
         data[mesh.diag_slots] = 8.0
         data[mesh.pattern_indptr[7]:mesh.pattern_indptr[8]] = 0.0
         with pytest.raises(LinearSolveError, match="singular") as err:
-            _solve_linear(plan, mesh.csr(data), np.ones(mesh.num_nodes))
+            LaggedFactor(plan).solve(mesh.csr(data),
+                                     np.ones(mesh.num_nodes))
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_nan_right_side_fails_the_backward_error_gate(self):
@@ -574,7 +577,7 @@ class TestSolvePlan:
         b = np.ones(mesh.num_nodes)
         b[3] = np.nan
         with pytest.raises(LinearSolveError, match="density"):
-            _solve_linear(plan, mesh.csr(data), b)
+            LaggedFactor(plan).solve(mesh.csr(data), b)
 
     def test_factor_raises_linear_solve_error_on_singular_data(self):
         mesh = build_unit_square(4)
@@ -597,10 +600,10 @@ class TestSolvePlan:
         scale = float((abs(A) @ x).max() + np.abs(b).max())
         b[0] += ratio * 1e3 * LINEAR_TOL * scale
         if passes:
-            assert _check_solve(plan, A, x, b, "density") is x
+            assert _check_solve(A, x, b, "density") is x
         else:
             with pytest.raises(LinearSolveError, match="density"):
-                _check_solve(plan, A, x, b, "density")
+                _check_solve(A, x, b, "density")
 
     @pytest.mark.parametrize("what", ["potential", "density"])
     def test_one_bound_gates_every_solve(self, what, rng, monkeypatch):
@@ -619,7 +622,151 @@ class TestSolvePlan:
             else:
                 data = np.full(mesh.pattern_nnz, -1.0)
                 data[mesh.diag_slots] = 8.0
-                _solve_linear(plan, mesh.csr(data), rho)
+                LaggedFactor(plan).solve(mesh.csr(data), rho)
+
+    def test_potential_factor_takes_the_diagonal_pivots(self):
+        # with SuperLU's default threshold of 1.0 this factor swaps 24 rows
+        # off the diagonal and stores 1977 nonzeros, past the planned fill
+        mesh = oracles.jittered_delaunay_mesh(10, 0.3, 7)
+        bc = BoundarySpec(phi_dirichlet={OTHER_BOUNDARY: 2.0})
+        poisson = PoissonSolver(mesh, assemble_stiffness(mesh),
+                                lumped_mass_vector(mesh), bc, SolvePlan(mesh))
+        lu = poisson._lu
+        assert np.array_equal(lu.perm_r, np.arange(mesh.num_nodes))
+        assert lu.nnz == 1814
+
+
+def density_systems(where, algorithm, k=1e-3):
+    """The assemblies, a step context and the state of the first step of
+    the smooth data on the 16x16 square, or of the channel run with the
+    0.5 cell: ``channel_selective`` (Alg. 1) or ``channel_wave`` (Alg. 2)."""
+    if where == "square":
+        sc = smooth_scenario(algorithm, k=k, n=16)
+    else:
+        sc = builtin_scenario("channel_selective" if algorithm == 1
+                              else "channel_wave", algorithm=algorithm)
+        sc.mesh_spec = ("channel", 0.5)
+    asm, state, bounds = first_state(sc)
+    return sc, asm, _StepContext(state, sc.config, asm), state, bounds
+
+
+class Counted:
+    """Counts the calls of ``SolvePlan.factor`` and ``SolvePlan.solve``."""
+
+    def __init__(self, monkeypatch):
+        self.factor = self.solve = 0
+        for attr in ("factor", "solve"):
+            monkeypatch.setattr(SolvePlan, attr,
+                                self._counted(attr, getattr(SolvePlan, attr)))
+
+    def _counted(self, attr, fn):
+        def wrapper(*args):
+            setattr(self, attr, getattr(self, attr) + 1)
+            return fn(*args)
+        return wrapper
+
+
+def backward_error(A, x, b):
+    return _backward_error(A, abs(A), x, b)[0]
+
+
+class TestLaggedFactor:
+    def test_nearby_matrices_reuse_one_factor(self, monkeypatch):
+        _, asm, ctx, state, _ = density_systems("square", 1)
+        counted = Counted(monkeypatch)
+        lagged = LaggedFactor(asm.solve_plan)
+        kept = None
+        for j in range(6):
+            A, b, _, _ = ctx.systems(state.p, state.n,
+                                     (1.0 + 0.02 * j) * state.phi)
+            x = lagged.solve(A, b)
+            assert _check_solve(A, x, b, "density") is x
+            # the corrections stop at LINEAR_TOL, not at the gate
+            assert backward_error(A, x, b) <= LINEAR_TOL
+            kept = kept or lagged.lu
+            assert lagged.lu is kept
+        assert counted.factor == 1
+        assert counted.solve > 6
+
+    @pytest.mark.parametrize("far", ["opposite drift", "k x 100"])
+    def test_far_matrix_refactors(self, far, monkeypatch):
+        _, asm, ctx, state, _ = density_systems("square", 1)
+        A, b, A_n, b_n = ctx.systems(state.p, state.n, state.phi)
+        if far == "k x 100":
+            _, _, far_ctx, _, _ = density_systems("square", 1, k=0.1)
+            A_n, b_n, _, _ = far_ctx.systems(state.p, state.n, state.phi)
+        lagged = LaggedFactor(asm.solve_plan)
+        lagged.solve(A, b)
+        kept = lagged.lu
+        counted = Counted(monkeypatch)
+        x = lagged.solve(A_n, b_n)
+        assert counted.factor == 1 and lagged.lu is not kept
+        assert _check_solve(A_n, x, b_n, "density") is x
+
+    def test_non_contracting_correction_refactors_at_once(self,
+                                                          monkeypatch):
+        # with the factor of A kept, a correction for 3 A doubles the
+        # backward error: the first correction refactors, and the remaining
+        # budget is not spent
+        _, asm, ctx, state, _ = density_systems("square", 1)
+        A, b, _, _ = ctx.systems(state.p, state.n, state.phi)
+        lagged = LaggedFactor(asm.solve_plan)
+        lagged.solve(A, b)
+        counted = Counted(monkeypatch)
+        A3 = 3.0 * A
+        x = lagged.solve(A3, b)
+        # the kept factor's solve, one correction, the new factor's solve
+        assert (counted.factor, counted.solve) == (1, 3)
+        assert backward_error(A3, x, b) <= LINEAR_TOL
+
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_singular_matrix_raises_with_or_without_kept_factor(self, kept):
+        _, asm, ctx, state, _ = density_systems("square", 1)
+        A, b, _, _ = ctx.systems(state.p, state.n, state.phi)
+        lagged = LaggedFactor(asm.solve_plan)
+        if kept:
+            lagged.solve(A, b)
+        singular = A.copy()
+        singular.data[singular.indptr[40]:singular.indptr[41]] = 0.0
+        with pytest.raises(LinearSolveError, match="singular"):
+            lagged.solve(singular, b)
+        # the old factor was released before the failed factorization
+        assert lagged.lu is None
+
+    @pytest.mark.parametrize("where, algorithm", [
+        ("square", 1), ("square", 2), ("channel", 1), ("channel", 2)])
+    def test_picard_step_matches_direct_solves(self, where, algorithm,
+                                               monkeypatch):
+        # the second step, whose solves start from the factors the first
+        # step kept, against the same step with every system factored
+        sc, asm, _, state, bounds = density_systems(where, algorithm)
+        step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
+        state, *_ = step(state, sc.config, asm, bounds)
+        lagged, lagged_iters, *_ = step(state, sc.config, asm, bounds)
+        monkeypatch.setattr(LaggedFactor, "solve", lambda self, A, b:
+                            oracles.direct_solve(self.plan, A, b))
+        direct, direct_iters, *_ = step(state, sc.config, asm, bounds)
+        assert lagged_iters == direct_iters
+        for field in ("p", "n", "phi"):
+            assert np.abs(getattr(lagged, field)
+                          - getattr(direct, field)).max() <= 1e-9
+
+    def test_run_factors_far_fewer_times_than_it_solves(self, monkeypatch):
+        # measured: 14 factorizations (the potential's and 13 density
+        # ones) for the 118 density solves of these 10 steps
+        counted = Counted(monkeypatch)
+        solves = []
+        solve = LaggedFactor.solve
+
+        def counted_solve(self, A, b):
+            solves.append(1)
+            return solve(self, A, b)
+
+        monkeypatch.setattr(LaggedFactor, "solve", counted_solve)
+        result = run(smooth_scenario(1, k=1e-3, T=1e-2, n=16))
+        assert len(result.reports) == 10
+        assert len(solves) >= 100
+        assert counted.factor <= len(solves) // 5
 
 
 class TestCoefficientReuse:
