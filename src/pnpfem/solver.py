@@ -2,9 +2,9 @@
 
 Each step runs a fixed-point (Picard) loop over the block system for the two
 ion densities and the electric potential.  Within one sweep the densities are
-solved with coefficients frozen at the previous iterate; Anderson mixing of
-the recent sweeps, or else a backtracking line search, picks the density
-update, and the potential is recomputed from the accepted densities.
+solved with coefficients frozen at the previous iterate; the next iterate is
+the Anderson mix of the recent sweeps if it is admissible and lowers the
+residual, else the relaxed sweep, and the potential is recomputed from it.
 Algorithm 1 uses the consistent mass matrix, an implicit drift matrix and
 matrix-coupling stabilization; algorithm 2 uses the lumped mass, the
 explicit edge-based transport term and entropy-secant stabilization.
@@ -43,10 +43,9 @@ LAGGED_CORRECTIONS = 6
 DMP_TOL = 1e-10
 MASS_DRIFT_TOL = 1e-10
 ENTROPY_STEP_TOL = 1e-8
-# the Picard line search tries the step lengths shrink^j, j = 0..halvings; a
-# step whose best residual has not improved for the window keeps that iterate
-LINE_SEARCH_SHRINK = 0.5
-LINE_SEARCH_HALVINGS = 30
+# a refused Picard trial is replaced by z + RELAXATION (G(z) - z); a step
+# whose best residual has not improved for the window keeps that iterate
+RELAXATION = 0.5
 STAGNATION_WINDOW = 50
 # Anderson mixing uses up to this many differences of consecutive sweeps
 ANDERSON_DEPTH = 5
@@ -401,38 +400,6 @@ def epsilon_for_scenario(p0, n0, bc):
     return EPSILON_FLOOR
 
 
-def backtracking_search(prev, candidate, residual_fn, prev_residual=None,
-                        good_enough=None):
-    """Damped update selection between a previous iterate and a candidate.
-
-    Tries theta = ``LINE_SEARCH_SHRINK``^j, j = 0..``LINE_SEARCH_HALVINGS``,
-    and returns ``prev + theta (candidate - prev)`` for the first theta whose
-    residual is below ``good_enough`` or strictly below the residual at
-    ``prev``.  If no
-    theta reduces the residual, the most-damped iterate is returned with the
-    no-decrease flag set.
-
-    Returns
-    -------
-    (accepted, theta, residual, no_decrease)
-    """
-    prev = np.asarray(prev, dtype=float)
-    candidate = np.asarray(candidate, dtype=float)
-    r_prev = residual_fn(prev) if prev_residual is None else prev_residual
-    if np.array_equal(candidate, prev):
-        return prev.copy(), 1.0, r_prev, True
-    direction = candidate - prev
-    theta = 1.0
-    trial, r = prev, r_prev
-    for _ in range(LINE_SEARCH_HALVINGS + 1):
-        trial = prev + theta * direction
-        r = residual_fn(trial)
-        if (good_enough is not None and r <= good_enough) or r < r_prev:
-            return trial, theta, r, False
-        theta *= LINE_SEARCH_SHRINK
-    return trial, theta / LINE_SEARCH_SHRINK, r, True
-
-
 def _anderson_mix(pairs):
     """Anderson mix of sweep pairs (z_j, G(z_j)), oldest first.
 
@@ -559,8 +526,13 @@ class _StepContext:
 def _picard_step(state, config, asm, bounds=None):
     """One implicit step: the Picard loop from ``state``.
 
-    ``bounds`` is the (lo, hi) range that the discrete maximum principle
-    keeps the densities in, or None where it is not in force.
+    Each iteration's trial is the Anderson mix of the kept sweep pairs
+    (z, G(z)), or G(z) itself while one pair is kept.  It is taken if it is
+    ``_admissible`` and its residual is below the previous one or at most
+    ``picard_residual_tol``; otherwise the history restarts from the latest
+    pair and the iterate is z + ``RELAXATION`` (G(z) - z).  ``bounds`` is
+    the (lo, hi) range that the discrete maximum principle keeps the
+    densities in, or None where it is not in force.
 
     Returns (new_state, iterations, residual_history, reason, residual),
     where ``reason`` is "converged" (residual tolerance met) or "stagnated"
@@ -569,74 +541,42 @@ def _picard_step(state, config, asm, bounds=None):
     A loop that reaches ``picard_max_iters`` raises ``StepError``.
     """
     ctx = _StepContext(state, config, asm)
-    n_nodes = asm.mesh.num_nodes
     z = _stack(state.p, state.n)
     res = ctx.residual_norm(z)
     history = [res]
 
-    # Each sweep's pair (z, G(z)) joins the Anderson history, and the mix
-    # of that history is taken when it is finite, within the bounds and
-    # lowers the residual.  Otherwise the history restarts from the latest
-    # pair and a backtracking search between z and G(z) picks the iterate.
-    # The residual is not monotone along the fixed-point path, so a strict
-    # descent search can jam short of the tolerance, and the undamped map can
-    # enter a two-cycle.  When the search jams, iterate with a constant
-    # relaxation factor (which breaks oscillatory cycles), without mixing,
-    # until the residual falls below the jam level, then search again.
-    # Near-flat density plateaus can pin the self-consistent residual at a
-    # noise floor (the detector reacts to roundoff ripples); the stagnation
-    # exit then keeps the best iterate instead of aborting the run.
+    # The residual is not monotone along the fixed-point path, so a refused
+    # trial is relaxed, not searched along; relaxing also breaks the
+    # two-cycles of the undamped map.  Near-flat density plateaus can pin
+    # the residual at a noise floor (the detector reacts to roundoff
+    # ripples); the stagnation exit then keeps the best iterate.
     pairs = []
-    jam_res = None
-    best_res, best_it = res, 0
-    best = (z, ctx.phi)
+    best = (res, 0, z, ctx.phi)  # residual, iteration, iterate, potential
     for it in range(1, config.picard_max_iters + 1):
-        candidate = ctx.linearized_solve(z)
-        pairs = pairs[-ANDERSON_DEPTH:] + [(z, candidate)]
-        z_new = None
-        if jam_res is None and len(pairs) > 1:
-            mixed = _anderson_mix(pairs)
-            if _admissible(mixed, bounds):
-                res = ctx.residual_norm(mixed)
-                if res < history[-1]:
-                    z_new = mixed
-        if jam_res is None and z_new is None:
+        sweep = ctx.linearized_solve(z)
+        pairs = pairs[-ANDERSON_DEPTH:] + [(z, sweep)]
+        trial = _anderson_mix(pairs) if len(pairs) > 1 else sweep
+        res = ctx.residual_norm(trial) if _admissible(trial, bounds) else np.inf
+        if not (res < history[-1] or res <= config.picard_residual_tol):
             pairs = pairs[-1:]
-            z_new, _theta, res, no_decrease = backtracking_search(
-                z, candidate, ctx.residual_norm,
-                prev_residual=history[-1],
-                good_enough=config.picard_residual_tol,
-            )
-            if no_decrease and not np.array_equal(candidate, z):
-                jam_res = history[-1]
-        if jam_res is not None:
-            # on entry from a jammed search this repeats the search's trial
-            # at theta = LINE_SEARCH_SHRINK, which did not go below jam_res
-            pairs = pairs[-1:]
-            z_new = z + LINE_SEARCH_SHRINK * (candidate - z)
-            res = ctx.residual_norm(z_new)
-            if res < jam_res:
-                jam_res = None
-        # each branch above ends with the residual kept at z_new
-        z = z_new
+            trial = z + RELAXATION * (sweep - z)
+            res = ctx.residual_norm(trial)
+        # the residual is kept at the new z, where the next sweep starts
+        z = trial
         history.append(res)
-        if res < best_res:
-            best_res, best_it = res, it
-            best = (z, ctx.phi)
+        if res < best[0]:
+            best = (res, it, z, ctx.phi)
         if res <= config.picard_residual_tol:
             reason, phi = "converged", ctx.phi
-        elif it - best_it >= STAGNATION_WINDOW:
-            reason, res, (z, phi) = "stagnated", best_res, best
+        elif it - best[1] >= STAGNATION_WINDOW:
+            reason, (res, _, z, phi) = "stagnated", best
         else:
             continue
-        p_new, n_new = _unstack(z, n_nodes)
-        new_state = State(p_new, n_new, phi, state.t + config.k)
+        new_state = State(*_unstack(z, asm.mesh.num_nodes), phi,
+                          state.t + config.k)
         return new_state, it, history, reason, res
-    raise StepError(
-        f"fixed-point loop failed at t={state.t + config.k:g}: "
-        f"residual {history[-1]:g} after {len(history) - 1} iterations",
-        history,
-    )
+    raise StepError(f"fixed-point loop failed at t={state.t + config.k:g}: "
+                    f"residual {history[-1]:g} after {it} iterations", history)
 
 
 def picard_step_alg1(state, config, asm, bounds=None):

@@ -13,7 +13,6 @@ from pnpfem import (
     SolverConfig,
     State,
     StepError,
-    backtracking_search,
     build_channel,
     build_sym_stencils,
     build_unit_square,
@@ -30,6 +29,7 @@ from pnpfem.solver import (
     DMP_TOL,
     STAGNATION_WINDOW,
     LINEAR_TOL,
+    RELAXATION,
     LaggedFactor,
     SolvePlan,
     _StepContext,
@@ -164,76 +164,6 @@ class TestPoisson:
         rho[np.flatnonzero(~mesh.boundary_mask)[0]] = np.nan
         with pytest.raises(LinearSolveError, match="potential"):
             poisson.solve(rho)
-
-
-class TestBacktracking:
-    def test_full_step_when_it_reduces(self):
-        residual = lambda z: float(np.abs(z).max())
-        prev = np.array([1.0, -1.0])
-        cand = np.array([0.1, 0.2])
-        accepted, theta, res, flag = backtracking_search(prev, cand, residual)
-        assert theta == 1.0
-        assert not flag
-        assert accepted == pytest.approx(cand)
-
-    def test_damped_step_for_overshooting_candidate(self):
-        # scalar residual with a minimum near the previous iterate
-        residual = lambda z: float(abs(z[0] - 0.1))
-        prev = np.array([0.0])
-        cand = np.array([1.0])
-        accepted, theta, res, flag = backtracking_search(prev, cand, residual)
-        assert theta < 1.0
-        assert res < residual(prev)
-        assert not flag
-
-    def test_identical_candidate_flags_no_decrease(self):
-        residual = lambda z: 1.0
-        prev = np.array([2.0, 3.0])
-        accepted, theta, res, flag = backtracking_search(prev, prev.copy(),
-                                                         residual)
-        assert flag
-        assert accepted == pytest.approx(prev)
-
-    def test_no_decrease_returns_most_damped(self, monkeypatch):
-        import pnpfem.solver as solver
-        monkeypatch.setattr(solver, "LINE_SEARCH_HALVINGS", 4)
-        residual = lambda z: 1.0 + float(np.abs(z).max())
-        prev = np.zeros(2)
-        cand = np.ones(2)
-        accepted, theta, res, flag = backtracking_search(prev, cand, residual)
-        assert flag
-        assert theta == pytest.approx(0.5**4)
-        assert accepted == pytest.approx(prev + 0.5**4 * (cand - prev))
-
-    def test_shrink_factor_is_the_module_constant(self, monkeypatch):
-        import pnpfem.solver as solver
-        monkeypatch.setattr(solver, "LINE_SEARCH_SHRINK", 0.25)
-        monkeypatch.setattr(solver, "LINE_SEARCH_HALVINGS", 3)
-        thetas = []
-
-        def residual(z):
-            thetas.append(float(z[0]))
-            return 1.0 + float(np.abs(z).max())
-
-        accepted, theta, res, flag = backtracking_search(
-            np.zeros(1), np.ones(1), residual)
-        assert flag
-        assert thetas[1:] == [1.0, 0.25, 0.25**2, 0.25**3]
-        assert theta == 0.25**3
-
-    def test_good_enough_shortcut(self):
-        calls = []
-
-        def residual(z):
-            calls.append(z.copy())
-            return 1e-9
-
-        prev, cand = np.zeros(1), np.ones(1)
-        accepted, theta, res, flag = backtracking_search(
-            prev, cand, residual, prev_residual=0.0, good_enough=1e-6)
-        assert theta == 1.0
-        assert not flag
-        assert len(calls) == 1
 
 
 class TestSteps:
@@ -820,42 +750,91 @@ class TestAnderson:
         assert np.abs(z - fixed).max() <= 1e-12 * max(np.abs(fixed).max(),
                                                        1.0)
 
-    @pytest.mark.parametrize("poison", [False, True])
+    @pytest.mark.parametrize("poison", [False, True, "sweep"])
     def test_out_of_bounds_mix_restarts_the_history(self, poison,
                                                     monkeypatch):
-        # poisoned, the first mix is pushed below the bounds: the step's
-        # own bound check must refuse it before its residual is evaluated,
-        # restart the history from the latest sweep and still converge in
-        # bounds; unpoisoned, the second mix extends the history
+        # poisoned, the first mix (True) or the first sweep ("sweep") is
+        # pushed below the bounds: the step's own bound check must refuse it
+        # before its residual is evaluated, restart the history from the
+        # latest sweep, take the relaxed sweep where the sweep was refused,
+        # and still converge in bounds; unpoisoned, the second mix extends
+        # the history
         import pnpfem.solver as solver
         sc = smooth_scenario(2)
         asm, state, (lo, hi) = first_state(sc)
-        mix, sizes, evaluated = solver._anderson_mix, [], []
+        mix, sizes, evaluated, swept = solver._anderson_mix, [], [], []
 
         def recorded_mix(pairs):
             sizes.append(len(pairs))
             z = mix(pairs)
-            if poison and len(sizes) == 1:
+            if poison is True and len(sizes) == 1:
                 z = z.copy()
                 z[0] = lo - 1e-6
             return z
 
         residual_parts = solver._StepContext.residual_parts
+        linearized_solve = solver._StepContext.linearized_solve
 
         def recorded_residual(ctx, p, n):
             evaluated.append(p[0])
             return residual_parts(ctx, p, n)
 
+        def recorded_sweep(ctx, z):
+            swept.append(z)
+            g = linearized_solve(ctx, z)
+            if poison == "sweep" and len(swept) == 1:
+                g[0] = lo - 1e-6
+            return g
+
         monkeypatch.setattr(solver, "_anderson_mix", recorded_mix)
         monkeypatch.setattr(solver._StepContext, "residual_parts",
                             recorded_residual)
+        monkeypatch.setattr(solver._StepContext, "linearized_solve",
+                            recorded_sweep)
         new, _, hist, reason, _ = picard_step_alg2(state, sc.config, asm,
                                                    (lo, hi))
-        assert sizes[:2] == ([2, 2] if poison else [2, 3])
+        assert sizes[:2] == ([2, 2] if poison is True else [2, 3])
         assert lo - 1e-6 not in evaluated
+        if poison == "sweep":
+            p0 = state.p[0]
+            assert swept[1][0] == p0 + RELAXATION * (lo - 1e-6 - p0)
+            assert evaluated[1] == swept[1][0]
         assert reason == "converged" and hist[-1] <= 1e-6
         for x in (new.p, new.n):
             assert lo - DMP_TOL <= x.min() and x.max() <= hi + DMP_TOL
+
+    def test_small_square_converges_inside_the_bounds(self):
+        # trials of the first smooth step on the 8x8 square leave the bounds
+        # on the way to a fixed point inside them; the refused trials must
+        # neither slow the step to a crawl (a line search took 113
+        # iterations here) nor let it stop outside the bounds
+        sc = builtin_scenario("smooth", algorithm=1)
+        sc.mesh_spec = ("square", 8)
+        sc.config.T = sc.config.k
+        result = run(sc)
+        assert len(result.reports) == 1
+        assert result.reports[0].picard_iters <= 20
+        assert result.flags_ok()
+
+    def test_residual_evaluations_per_iteration(self, monkeypatch):
+        # a step evaluates the residual once at its start and at most twice
+        # per iteration: at the trial and, if that is refused, at the
+        # relaxed sweep
+        import pnpfem.solver as solver
+        sc = builtin_scenario("channel_wave", algorithm=2)
+        sc.config.T = 2 * sc.config.k
+        residual_parts, calls = solver._StepContext.residual_parts, []
+
+        def counted(ctx, p, n):
+            calls.append(None)
+            return residual_parts(ctx, p, n)
+
+        monkeypatch.setattr(solver._StepContext, "residual_parts", counted)
+        result = run(sc)
+        steps = len(result.reports)
+        iterations = sum(rep.picard_iters for rep in result.reports)
+        assert steps == 2
+        assert len(calls) <= steps + 2 * iterations
 
     @pytest.mark.parametrize("name, in_force", [
         ("smooth", True), ("channel_uniform", False)])
