@@ -128,10 +128,8 @@ def main(argv=None):
     csv_path = _write_outputs(outdir, result)
     ok = result.flags_ok()
     status = "ok" if ok else "invariant-violation"
-    stagnated = len(result.stagnated_steps)
-    print(f"{scenario.name}: {len(result.all_reports()) - 1} steps"
-          + (f" ({stagnated} stagnated)" if stagnated else "")
-          + f", final t={result.state.t:g}, {status}; wrote {csv_path}")
+    print(f"{scenario.name}: {len(result.all_reports()) - 1} steps, "
+          f"final t={result.state.t:g}, {status}; wrote {csv_path}")
     if not ok and not args.no_strict:
         return 1
     return 0

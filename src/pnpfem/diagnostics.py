@@ -70,7 +70,7 @@ def entropy_Eh(p, n, phi, lumped, stiffness, fns):
     return dot(d, fns.g0(p) + fns.g0(n)) + energy_electrostatic(phi, stiffness)
 
 
-def dissipation_Dh(rho, phi, stiffness, fns, mesh):
+def dissipation_Dh(rho, phi, stiffness, mesh):
     """Edge-based entropy dissipation of one species against the potential.
 
     Pairs with distinct density values contribute

@@ -5,6 +5,7 @@ ion densities and the electric potential.  Within one sweep the densities are
 solved with coefficients frozen at the previous iterate; the next iterate is
 the Anderson mix of the recent sweeps if it is admissible and lowers the
 residual, else the relaxed sweep, and the potential is recomputed from it.
+A step either meets its residual tolerance or raises ``StepError``.
 Algorithm 1 uses the consistent mass matrix, an implicit drift matrix and
 matrix-coupling stabilization; algorithm 2 uses the lumped mass, the
 explicit edge-based transport term and entropy-secant stabilization.
@@ -43,10 +44,8 @@ LAGGED_CORRECTIONS = 6
 DMP_TOL = 1e-10
 MASS_DRIFT_TOL = 1e-10
 ENTROPY_STEP_TOL = 1e-8
-# a refused Picard trial is replaced by z + RELAXATION (G(z) - z); a step
-# whose best residual has not improved for the window keeps that iterate
+# a refused Picard trial is replaced by z + RELAXATION (G(z) - z)
 RELAXATION = 0.5
-STAGNATION_WINDOW = 50
 # Anderson mixing uses up to this many differences of consecutive sweeps
 ANDERSON_DEPTH = 5
 
@@ -251,11 +250,6 @@ def _gate(x, err, what):
     return x
 
 
-def _check_solve(A, x, b, what):
-    """``x`` through the backward-error gate, for a sparse ``A``."""
-    return _gate(x, _backward_error(A, abs(A), x, b)[0], what)
-
-
 class LaggedFactor:
     """One species' density solves, with one SuperLU factor kept between
     them.
@@ -269,8 +263,7 @@ class LaggedFactor:
     is factored and kept instead; a fresh factor is corrected while that
     pays.  The old factor is released before the new one is built, so a
     refactor never holds two factors, which would raise the peak memory.
-    Every answer ends at the gate that ``_check_solve`` applies, 1e3
-    ``LINEAR_TOL``.
+    Every answer ends at ``_gate``, 1e3 ``LINEAR_TOL``.
     """
 
     def __init__(self, plan):
@@ -339,6 +332,7 @@ class PoissonSolver:
         # the system the backward error is taken on: the singular K itself,
         # on every row, for a pure-Neumann potential after its mean shift
         self._A = self.stiffness if self.pure_neumann else mesh.csr(data)
+        self._abs_A = abs(self._A)
 
     def solve(self, rho_diff):
         """Potential for a given charge difference p - n."""
@@ -358,7 +352,8 @@ class PoissonSolver:
         if self.pure_neumann:
             phi -= diagnostics.dot(self.d, phi) / self.area
             rhs = b
-        return _check_solve(self._A, phi, rhs, "potential")
+        err = _backward_error(self._A, self._abs_A, phi, rhs)[0]
+        return _gate(phi, err, "potential")
 
 
 class Assemblies:
@@ -534,24 +529,20 @@ def _picard_step(state, config, asm, bounds=None):
     the (lo, hi) range that the discrete maximum principle keeps the
     densities in, or None where it is not in force.
 
-    Returns (new_state, iterations, residual_history, reason, residual),
-    where ``reason`` is "converged" (residual tolerance met) or "stagnated"
-    (no new best residual in ``STAGNATION_WINDOW`` iterations; the best
-    iterate is returned), and ``residual`` is that of the returned state.
-    A loop that reaches ``picard_max_iters`` raises ``StepError``.
+    Returns (new_state, iterations, residual_history) once the residual is
+    at most ``picard_residual_tol``.  A loop that reaches
+    ``picard_max_iters`` raises ``StepError``, whose message names the last
+    and the smallest residual: a smallest residual at roundoff marks a
+    tolerance below the roundoff floor, a large one a map that diverges.
     """
     ctx = _StepContext(state, config, asm)
     z = _stack(state.p, state.n)
-    res = ctx.residual_norm(z)
-    history = [res]
+    history = [ctx.residual_norm(z)]
 
     # The residual is not monotone along the fixed-point path, so a refused
     # trial is relaxed, not searched along; relaxing also breaks the
-    # two-cycles of the undamped map.  Near-flat density plateaus can pin
-    # the residual at a noise floor (the detector reacts to roundoff
-    # ripples); the stagnation exit then keeps the best iterate.
+    # two-cycles of the undamped map.
     pairs = []
-    best = (res, 0, z, ctx.phi)  # residual, iteration, iterate, potential
     for it in range(1, config.picard_max_iters + 1):
         sweep = ctx.linearized_solve(z)
         pairs = pairs[-ANDERSON_DEPTH:] + [(z, sweep)]
@@ -564,19 +555,14 @@ def _picard_step(state, config, asm, bounds=None):
         # the residual is kept at the new z, where the next sweep starts
         z = trial
         history.append(res)
-        if res < best[0]:
-            best = (res, it, z, ctx.phi)
         if res <= config.picard_residual_tol:
-            reason, phi = "converged", ctx.phi
-        elif it - best[1] >= STAGNATION_WINDOW:
-            reason, (res, _, z, phi) = "stagnated", best
-        else:
-            continue
-        new_state = State(*_unstack(z, asm.mesh.num_nodes), phi,
-                          state.t + config.k)
-        return new_state, it, history, reason, res
+            new_state = State(*_unstack(z, asm.mesh.num_nodes), ctx.phi,
+                              state.t + config.k)
+            return new_state, it, history
     raise StepError(f"fixed-point loop failed at t={state.t + config.k:g}: "
-                    f"residual {history[-1]:g} after {it} iterations", history)
+                    f"residual {history[-1]:g} after {it} iterations, "
+                    f"smallest {min(history):g}, picard_residual_tol "
+                    f"{config.picard_residual_tol:g}", history)
 
 
 def picard_step_alg1(state, config, asm, bounds=None):
@@ -598,15 +584,15 @@ def picard_step_alg2(state, config, asm, bounds=None):
 class RunResult:
     """Outcome of a scenario run.
 
-    ``reports`` has one entry per executed step (or the initial report alone
-    when no step fits in [0, T]); ``initial_report`` is always available.
+    ``reports`` has one entry per executed step, each of which met
+    ``picard_residual_tol`` (or the initial report alone when no step fits
+    in [0, T]); ``initial_report`` is always available.
     ``in_force`` records which invariant flags the scenario's theory
-    guarantees, for strict exit checking.  ``stagnated_steps`` lists the
-    indices of the steps that ended at the stagnation exit.
+    guarantees, for strict exit checking.
     """
 
     def __init__(self, reports, initial_report, state, mesh, asm, bounds,
-                 in_force, stagnated_steps):
+                 in_force):
         self.reports = reports
         self.initial_report = initial_report
         self.state = state
@@ -614,7 +600,6 @@ class RunResult:
         self.assemblies = asm
         self.bounds = bounds
         self.in_force = in_force
-        self.stagnated_steps = list(stagnated_steps)
 
     def all_reports(self):
         if self.reports and self.reports[0] is self.initial_report:
@@ -642,8 +627,8 @@ def _make_report(state, asm, fns, bounds, mass0, prev_entropy, picard_iters,
     n = np.maximum(state.n, 0.0)
     entropy = diagnostics.entropy_Eh(p, n, state.phi, asm.d, asm.stiffness, fns)
     dissip = (
-        diagnostics.dissipation_Dh(p, state.phi, asm.stiffness, fns, asm.mesh)
-        + diagnostics.dissipation_Dh(n, state.phi, asm.stiffness, fns, asm.mesh)
+        diagnostics.dissipation_Dh(p, state.phi, asm.stiffness, asm.mesh)
+        + diagnostics.dissipation_Dh(n, state.phi, asm.stiffness, asm.mesh)
     )
     min_p, _, max_p, _ = diagnostics.extrema(state.p)
     min_n, _, max_n, _ = diagnostics.extrema(state.n)
@@ -675,9 +660,8 @@ def run(scenario, on_step=None):
     """Execute a scenario: build the problem, march in time, collect reports.
 
     ``on_step(step_index, state)`` is invoked for the initial state (index 0)
-    and after every accepted step.  A step that ends at the stagnation exit
-    is kept, listed on ``stagnated_steps`` and reported with a
-    ``RuntimeWarning``.  Step failures abort the run; the raised
+    and after every accepted step, each of which met
+    ``picard_residual_tol``.  Step failures abort the run; the raised
     ``StepError`` or ``LinearSolveError`` carries the partial ``RunResult``
     on its ``partial`` attribute so outputs can be flushed.
     """
@@ -717,27 +701,17 @@ def run(scenario, on_step=None):
         on_step(0, state)
 
     nsteps = int(np.floor(config.T / config.k + 1e-9))
-    reports, stagnated = [], []
+    reports = []
     prev_entropy = initial_report.entropy
     step = picard_step_alg1 if config.algorithm == 1 else picard_step_alg2
     dmp_bounds = (lo, hi) if in_force["dmp_ok"] else None
     for m in range(1, nsteps + 1):
         try:
-            state, iters, _history, reason, res = step(state, config, asm,
-                                                       dmp_bounds)
+            state, iters, _history = step(state, config, asm, dmp_bounds)
         except (StepError, LinearSolveError) as err:
             err.partial = RunResult(reports, initial_report, state, mesh, asm,
-                                    (lo, hi), in_force, stagnated)
+                                    (lo, hi), in_force)
             raise
-        if reason == "stagnated":
-            stagnated.append(m)
-            warnings.warn(
-                f"step {m} (t={state.t:g}) stagnated after {iters} "
-                f"iterations at residual {res:g}, above "
-                f"picard_residual_tol={config.picard_residual_tol:g}; its "
-                f"best iterate is kept",
-                RuntimeWarning,
-            )
         rep = _make_report(state, asm, fns, (lo, hi), mass0, prev_entropy,
                            iters, smallness_ok)
         prev_entropy = rep.entropy
@@ -745,4 +719,4 @@ def run(scenario, on_step=None):
         if on_step is not None:
             on_step(m, state)
     return RunResult(reports or [initial_report], initial_report, state, mesh,
-                     asm, (lo, hi), in_force, stagnated)
+                     asm, (lo, hi), in_force)

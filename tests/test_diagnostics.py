@@ -96,30 +96,30 @@ class TestEntropy:
 
 
 class TestDissipation:
-    def test_zero_for_constant_state(self, square8, fns):
+    def test_zero_for_constant_state(self, square8):
         n = square8.num_nodes
         K = assemble_stiffness(square8)
-        assert dissipation_Dh(np.full(n, 2.0), np.zeros(n), K, fns,
+        assert dissipation_Dh(np.full(n, 2.0), np.zeros(n), K,
                               square8) == 0.0
 
-    def test_nonnegative_on_acute_mesh(self, fns, rng):
+    def test_nonnegative_on_acute_mesh(self, rng):
         mesh = build_equilateral_strip(6, 4, side=0.25)
         K = assemble_stiffness(mesh)
         assert check_acuteness(mesh, K).is_acute
         for _ in range(25):
             rho = rng.uniform(0.1, 4.0, size=mesh.num_nodes)
             phi = rng.normal(size=mesh.num_nodes)
-            assert dissipation_Dh(rho, phi, K, fns, mesh) >= -1e-10
+            assert dissipation_Dh(rho, phi, K, mesh) >= -1e-10
 
-    def test_negative_density_rejected(self, square8, fns):
+    def test_negative_density_rejected(self, square8):
         n = square8.num_nodes
         K = assemble_stiffness(square8)
         rho = np.ones(n)
         rho[0] = -0.5
         with pytest.raises(ValueError):
-            dissipation_Dh(rho, np.zeros(n), K, fns, square8)
+            dissipation_Dh(rho, np.zeros(n), K, square8)
 
-    def test_matches_pairwise_formula(self, fns, rng):
+    def test_matches_pairwise_formula(self, rng):
         # independent dense recomputation of the edge sum
         mesh = build_equilateral_strip(3, 3, side=0.5)
         K = assemble_stiffness(mesh)
@@ -138,16 +138,16 @@ class TestDissipation:
                     total -= (np.sqrt(s) * drho - dphi / np.sqrt(s))**2 * Kd[i, j]
                 else:
                     total -= rho[i] * dphi**2 * Kd[i, j]
-        got = dissipation_Dh(rho, phi, K, fns, mesh)
+        got = dissipation_Dh(rho, phi, K, mesh)
         assert got == pytest.approx(total, rel=1e-12)
 
-    def test_zero_density_plateau_stays_finite(self, square8, fns):
+    def test_zero_density_plateau_stays_finite(self, square8):
         n = square8.num_nodes
         K = assemble_stiffness(square8)
         rho = np.zeros(n)
         rho[:n // 2] = 1.0
         phi = square8.nodes[:, 0].copy()
-        val = dissipation_Dh(rho, phi, K, fns, square8)
+        val = dissipation_Dh(rho, phi, K, square8)
         assert np.isfinite(val)
 
 
@@ -280,7 +280,7 @@ p = rng.uniform(0.5, 2.0, size=mesh.num_nodes)
 n = averaged_interpolate(smooth_n0, mesh)
 phi = rng.normal(size=mesh.num_nodes)
 fns = entropy_functions(0.05)
-values = (dissipation_Dh(p, phi, K, fns, mesh), entropy_Eh(p, n, phi, d, K, fns),
+values = (dissipation_Dh(p, phi, K, mesh), entropy_Eh(p, n, phi, d, K, fns),
           energy_electrostatic(phi, K), mass(p, d))
 print(" ".join(float.hex(v) for v in values))
 """

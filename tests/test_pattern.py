@@ -169,7 +169,7 @@ PATTERN_READERS = {
     "transport": lambda c, X: star_transport_vector(
         c["x"], c["phi"], c["fns"], X, c["mesh"]),
     "dissipation": lambda c, X: dissipation_Dh(
-        c["x"], c["phi"], X, c["fns"], c["mesh"]),
+        c["x"], c["phi"], X, c["mesh"]),
     "acuteness": lambda c, X: check_acuteness(c["mesh"], X),
 }
 

@@ -397,18 +397,21 @@ class TestCli:
         rows = diagnostics.read_csv(tmp_path / "out" / "diagnostics.csv")
         assert [r.t for r in rows] == [0.0]
 
-    def test_summary_counts_stagnated_steps(self, tmp_path, capsys):
-        # the smooth data with an unreachable tolerance stagnate each step;
-        # the summary counts them and the flags still decide the exit code
-        path = tmp_path / "stagnating.json"
+    def test_divergent_step_exits_3_with_partial_outputs(self, tmp_path,
+                                                         capsys):
+        # channel_wave under Alg. 2 at k = 0.2: the first step's Picard map
+        # diverges, so the run fails there and writes the initial row
+        path = tmp_path / "divergent.json"
         path.write_text(json.dumps({
-            "scenario": "smooth", "mesh": {"n": 12}, "k": 1e-3, "T": 2e-3,
-            "picard_residual_tol": 1e-300, "picard_max_iters": 200,
+            "scenario": "channel_wave", "algorithm": 2,
+            "mesh": {"cell": 0.25}, "k": 0.2, "T": 0.4,
             "output_dir": str(tmp_path / "out")}))
-        with pytest.warns(RuntimeWarning, match="stagnated"):
-            assert cli_main(["--config", str(path)]) == 0
-        assert "smooth: 2 steps (2 stagnated), final" in \
-            capsys.readouterr().out
+        assert cli_main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "after 400 iterations, smallest" in err
+        assert "partial outputs written" in err
+        rows = diagnostics.read_csv(tmp_path / "out" / "diagnostics.csv")
+        assert [r.t for r in rows] == [0.0]
 
     def test_summary_omits_zero_stagnated_count(self, tmp_path, capsys):
         assert cli_main(["--config", self._neutral_config(tmp_path)]) == 0

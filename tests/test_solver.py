@@ -23,11 +23,11 @@ from pnpfem import (
 )
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
 from pnpfem.mesh import BOTTOM, OTHER_BOUNDARY, TOP, Mesh
-from pnpfem.scenarios import builtin_scenario, smooth_n0, smooth_p0
+from pnpfem.scenarios import (
+    builtin_scenario, scenario_from_config, smooth_n0, smooth_p0)
 from pnpfem.solver import (
     ANDERSON_DEPTH,
     DMP_TOL,
-    STAGNATION_WINDOW,
     LINEAR_TOL,
     RELAXATION,
     LaggedFactor,
@@ -35,7 +35,6 @@ from pnpfem.solver import (
     _StepContext,
     _anderson_mix,
     _backward_error,
-    _check_solve,
     epsilon_for_scenario,
 )
 
@@ -176,8 +175,8 @@ class TestSteps:
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(0.5))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist, reason, _ = step(state, sc.config, asm)
-        assert iters == 1 and reason == "converged"
+        new, iters, hist = step(state, sc.config, asm)
+        assert iters == 1 and hist[-1] <= sc.config.picard_residual_tol
         assert np.abs(new.p - 1.0).max() < 1e-12
         assert np.abs(new.n - 1.0).max() < 1e-12
         assert np.abs(new.phi).max() < 1e-12
@@ -193,9 +192,8 @@ class TestSteps:
                          entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist, reason, res = step(state, sc.config, asm)
-        assert hist[-1] <= 1e-6
-        assert reason == "converged" and res == hist[-1]
+        new, iters, hist = step(state, sc.config, asm)
+        assert hist[-1] <= 1e-6 and len(hist) == iters + 1
 
     @pytest.mark.parametrize("algorithm", [1, 2])
     def test_mass_preserved_by_one_step(self, algorithm):
@@ -219,7 +217,7 @@ class TestSteps:
         p0, n0 = sc.initial_fields(mesh)
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(1e-8))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
-        new, iters, hist, *_ = picard_step_alg1(state, sc.config, asm)
+        new, iters, hist = picard_step_alg1(state, sc.config, asm)
         from pnpfem.solver import _StepContext, _stack
         ctx = _StepContext(state, sc.config, asm)
         res = ctx.residual_norm(_stack(new.p, new.n))
@@ -249,33 +247,21 @@ class TestSteps:
         assert new.p.min() >= lo - 1e-10 and new.p.max() <= hi + 1e-10
         assert new.n.min() >= lo - 1e-10 and new.n.max() <= hi + 1e-10
 
-    def test_stagnation_exit_returns_best_iterate(self):
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_roundoff_floor_raises_step_error(self, algorithm):
         # past roundoff the residual of the 8 x 8 smooth step sits at a
-        # floor, so the loop ends at the stagnation exit, not at max_iters
-        sc = unreachable_tolerance(smooth_scenario(1, n=8), 200)
+        # floor that a tolerance of 1e-300 cannot reach: the step fails, and
+        # its message tells the floor from a divergence by the smallest
+        # residual
+        sc = unreachable_tolerance(smooth_scenario(algorithm, n=8), 100)
         asm, state, _ = first_state(sc)
-        new, iters, hist, reason, res = picard_step_alg1(
-            state, sc.config, asm)
-        assert reason == "stagnated" and iters < 200
-        assert res == min(hist) and len(hist) == iters + 1
-        assert iters - hist.index(res) == STAGNATION_WINDOW
-        from pnpfem.solver import _StepContext, _stack
-        ctx = _StepContext(state, sc.config, asm)
-        assert ctx.residual_norm(_stack(new.p, new.n)) == res
-
-    def test_roundoff_floor_ends_alg2_step_as_stagnated(self):
-        # only the residual tolerance is out of reach: the step ends at the
-        # stagnation exit with its best residual, whatever the increments
-        sc = smooth_scenario(2, n=8)
-        sc.config.picard_residual_tol = 1e-300
-        asm, state, _ = first_state(sc)
-        _, iters, hist, reason, res = picard_step_alg2(state, sc.config, asm)
-        assert reason == "stagnated" and res == min(hist)
-        assert iters - hist.index(res) == STAGNATION_WINDOW
-        with pytest.warns(RuntimeWarning, match="stagnated") as caught:
-            result = run(sc)
-        assert result.stagnated_steps == list(range(1, 6))
-        assert sum("stagnated" in str(w.message) for w in caught) == 5
+        step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
+        with pytest.raises(StepError) as err:
+            step(state, sc.config, asm)
+        hist = err.value.residual_history
+        assert len(hist) == 101 and min(hist) < 1e-10
+        assert f"residual {hist[-1]:g} after 100 iterations" in str(err.value)
+        assert f"smallest {min(hist):g}" in str(err.value)
 
     def test_unreachable_tolerance_raises_step_error(self):
         sc = unreachable_tolerance(smooth_scenario(1), 3)
@@ -359,16 +345,39 @@ class TestRun:
         assert err.traceback[-1].name == "factor"
         assert isinstance(err.value.__cause__, RuntimeError)
 
-    def test_stagnated_step_is_recorded_and_warned(self):
-        sc = unreachable_tolerance(smooth_scenario(1, T=2e-3), 200)
-        with pytest.warns(RuntimeWarning, match="stagnated") as caught:
-            result = run(sc)
-        assert result.stagnated_steps == [1, 2]
-        assert sum("stagnated" in str(w.message) for w in caught) == 2
-        assert len(result.reports) == 2 and result.flags_ok()
+    def test_divergent_step_raises_with_partial_result(self):
+        # channel_wave under Alg. 2 at k = 0.2: the Picard map of the first
+        # step diverges, no iterate reaches the tolerance, and the run fails
+        # there instead of keeping one
+        sc = scenario_from_config({
+            "scenario": "channel_wave", "algorithm": 2,
+            "mesh": {"cell": 0.25}, "k": 0.2, "T": 0.4}, "test")
+        with pytest.raises(StepError) as err:
+            run(sc)
+        hist = err.value.residual_history
+        assert err.value.partial.reports == []
+        assert len(hist) == sc.config.picard_max_iters + 1
+        assert min(hist) > sc.config.picard_residual_tol
+        assert f"smallest {min(hist):g}" in str(err.value)
 
-    def test_converged_run_has_no_stagnated_steps(self):
-        assert run(smooth_scenario(2)).stagnated_steps == []
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_every_returned_step_meets_the_tolerance(self, algorithm,
+                                                     monkeypatch):
+        import pnpfem.solver as solver
+        name = f"picard_step_alg{algorithm}"
+        step, histories = getattr(solver, name), []
+
+        def recorded(*args):
+            out = step(*args)
+            histories.append(out[2])
+            return out
+
+        monkeypatch.setattr(solver, name, recorded)
+        sc = smooth_scenario(algorithm)
+        result = run(sc)
+        assert len(histories) == len(result.reports) == 5
+        assert all(hist[-1] <= sc.config.picard_residual_tol
+                   for hist in histories)
 
     def test_on_step_callback_sees_every_state(self):
         seen = []
@@ -530,10 +539,10 @@ class TestSolvePlan:
         scale = float((abs(A) @ x).max() + np.abs(b).max())
         b[0] += ratio * 1e3 * LINEAR_TOL * scale
         if passes:
-            assert _check_solve(A, x, b, "density") is x
+            assert oracles.check_solve(A, x, b, "density") is x
         else:
             with pytest.raises(LinearSolveError, match="density"):
-                _check_solve(A, x, b, "density")
+                oracles.check_solve(A, x, b, "density")
 
     @pytest.mark.parametrize("what", ["potential", "density"])
     def test_one_bound_gates_every_solve(self, what, rng, monkeypatch):
@@ -610,7 +619,7 @@ class TestLaggedFactor:
             A, b, _, _ = ctx.systems(state.p, state.n,
                                      (1.0 + 0.02 * j) * state.phi)
             x = lagged.solve(A, b)
-            assert _check_solve(A, x, b, "density") is x
+            assert oracles.check_solve(A, x, b, "density") is x
             # the corrections stop at LINEAR_TOL, not at the gate
             assert backward_error(A, x, b) <= LINEAR_TOL
             kept = kept or lagged.lu
@@ -631,7 +640,7 @@ class TestLaggedFactor:
         counted = Counted(monkeypatch)
         x = lagged.solve(A_n, b_n)
         assert counted.factor == 1 and lagged.lu is not kept
-        assert _check_solve(A_n, x, b_n, "density") is x
+        assert oracles.check_solve(A_n, x, b_n, "density") is x
 
     def test_non_contracting_correction_refactors_at_once(self,
                                                           monkeypatch):
@@ -791,15 +800,14 @@ class TestAnderson:
                             recorded_residual)
         monkeypatch.setattr(solver._StepContext, "linearized_solve",
                             recorded_sweep)
-        new, _, hist, reason, _ = picard_step_alg2(state, sc.config, asm,
-                                                   (lo, hi))
+        new, _, hist = picard_step_alg2(state, sc.config, asm, (lo, hi))
         assert sizes[:2] == ([2, 2] if poison is True else [2, 3])
         assert lo - 1e-6 not in evaluated
         if poison == "sweep":
             p0 = state.p[0]
             assert swept[1][0] == p0 + RELAXATION * (lo - 1e-6 - p0)
             assert evaluated[1] == swept[1][0]
-        assert reason == "converged" and hist[-1] <= 1e-6
+        assert hist[-1] <= 1e-6
         for x in (new.p, new.n):
             assert lo - DMP_TOL <= x.min() and x.max() <= hi + DMP_TOL
 
@@ -865,4 +873,4 @@ class TestAnderson:
         result = run(sc)
         assert len(result.reports) == 10
         assert sum(rep.picard_iters for rep in result.reports) <= 140
-        assert result.flags_ok() and result.stagnated_steps == []
+        assert result.flags_ok()
