@@ -32,8 +32,6 @@ def build_parser():
     p.add_argument("--out", help="output directory (default: scenario value)")
     p.add_argument("--snapshots",
                    help="comma-separated times for VTK snapshots")
-    p.add_argument("--no-strict", action="store_true",
-                   help="exit 0 even when an in-force invariant flag fails")
     return p
 
 
@@ -114,25 +112,22 @@ def main(argv=None):
 
     try:
         result = run(scenario, on_step=on_step)
-    except (StepError, LinearSolveError) as err:
+    except (StepError, LinearSolveError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        # only an error raised by a step carries the completed steps
         partial = getattr(err, "partial", None)
-        if partial is not None:
-            _write_outputs(outdir, partial)
-            print(f"partial outputs written to {outdir}", file=sys.stderr)
+        if partial is None:
+            return 2 if isinstance(err, ValueError) else 3
+        _write_outputs(outdir, partial)
+        print(f"partial outputs written to {outdir}", file=sys.stderr)
         return 3
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
     csv_path = _write_outputs(outdir, result)
     ok = result.flags_ok()
     status = "ok" if ok else "invariant-violation"
     print(f"{scenario.name}: {len(result.all_reports()) - 1} steps, "
           f"final t={result.state.t:g}, {status}; wrote {csv_path}")
-    if not ok and not args.no_strict:
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

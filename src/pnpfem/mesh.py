@@ -80,6 +80,11 @@ class Mesh:
             raise ValueError("nodes must be an (N, 2) array")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be an (M, 3) array")
+        finite = np.isfinite(self.nodes).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"node {bad} has non-finite coordinates "
+                             f"{self.nodes[bad].tolist()}")
         outside = (self.elements < 0) | (self.elements >= self.num_nodes)
         if outside.any():
             bad = int(np.flatnonzero(outside.any(axis=1))[0])

@@ -431,15 +431,14 @@ class _StepContext:
     """One time step's per-iterate systems A(z) z = b(z), z = (p, n).
 
     ``systems`` is the only description of either scheme.  The residual is
-    A(z) z - b(z) of the systems built at z, which it keeps, and a sweep
-    from z solves those same systems.
+    A(z) z - b(z) of the systems built at z, which ``residual_parts``
+    returns with it, and a sweep from z solves exactly those systems.
     """
 
     def __init__(self, state, config, asm):
         self.asm = asm
         self.config = config
         self.k = k = config.k
-        self._kept = None  # (p, n, phi, systems) of the last residual
         # step-constant parts of A and b: every matrix here is on the mesh's
         # P1 pattern, so sums of matrices are sums of their values; dividing
         # by k multiplies by 1/k, as scipy does for a sparse matrix
@@ -488,32 +487,18 @@ class _StepContext:
         return mesh.csr(A_p), b_p, mesh.csr(A_n), b_n
 
     def residual_parts(self, p, n):
-        """Self-consistent residual A(z) z - b(z): the potential is
-        recomputed from (p, n) and the systems are built there, so the value
-        vanishes only at a true fixed point of the step."""
+        """(phi, r, systems) at the iterate (p, n): the potential phi is
+        recomputed from p - n, ``systems`` are built at (p, n, phi), and r is
+        their self-consistent residual A(z) z - b(z), which vanishes only at
+        a true fixed point of the step."""
         phi = self.asm.poisson.solve(p - n)
         A_p, b_p, A_n, b_n = systems = self.systems(p, n, phi)
-        self._kept = (p, n, phi, systems)
-        return phi, _stack(A_p @ p - b_p, A_n @ n - b_n)
+        return phi, _stack(A_p @ p - b_p, A_n @ n - b_n), systems
 
-    def residual_norm(self, z):
-        p, n = _unstack(z, self.asm.mesh.num_nodes)
-        _, r = self.residual_parts(p, n)
-        return float(np.abs(r).max())
-
-    @property
-    def phi(self):
-        """The potential of the last residual's iterate."""
-        return self._kept[2]
-
-    def linearized_solve(self, z):
-        """One block sweep: solve the systems built at the iterate z."""
-        p, n = _unstack(z, self.asm.mesh.num_nodes)
-        kept = self._kept
-        if kept is None or not (np.array_equal(kept[0], p)
-                                and np.array_equal(kept[1], n)):
-            self.residual_parts(p, n)
-        A_p, b_p, A_n, b_n = self._kept[3]
+    def linearized_solve(self, systems):
+        """One block sweep: the stacked solutions of exactly ``systems``,
+        as ``residual_parts`` returned them at the iterate swept from."""
+        A_p, b_p, A_n, b_n = systems
         lu_p, lu_n = self.asm.density_factors
         return _stack(lu_p.solve(A_p, b_p), lu_n.solve(A_n, b_n))
 
@@ -521,13 +506,15 @@ class _StepContext:
 def _picard_step(state, config, asm, bounds=None):
     """One implicit step: the Picard loop from ``state``.
 
-    Each iteration's trial is the Anderson mix of the kept sweep pairs
-    (z, G(z)), or G(z) itself while one pair is kept.  It is taken if it is
-    ``_admissible`` and its residual is below the previous one or at most
-    ``picard_residual_tol``; otherwise the history restarts from the latest
-    pair and the iterate is z + ``RELAXATION`` (G(z) - z).  ``bounds`` is
-    the (lo, hi) range that the discrete maximum principle keeps the
-    densities in, or None where it is not in force.
+    Each iterate z is held with the residual norm, potential and systems
+    of one ``residual_parts`` call at z; the sweep G(z) solves those
+    systems.  Each iteration's trial is the Anderson mix of the kept sweep
+    pairs (z, G(z)), or G(z) itself while one pair is kept.  It is taken if
+    it is ``_admissible`` and its residual is below the previous one or at
+    most ``picard_residual_tol``; otherwise the history restarts from the
+    latest pair and the iterate is z + ``RELAXATION`` (G(z) - z).
+    ``bounds`` is the (lo, hi) range that the discrete maximum principle
+    keeps the densities in, or None where it is not in force.
 
     Returns (new_state, iterations, residual_history) once the residual is
     at most ``picard_residual_tol``.  A loop that reaches
@@ -536,28 +523,35 @@ def _picard_step(state, config, asm, bounds=None):
     tolerance below the roundoff floor, a large one a map that diverges.
     """
     ctx = _StepContext(state, config, asm)
+    n_nodes = asm.mesh.num_nodes
+
+    def evaluated(z):
+        """(residual norm, phi, systems) at the iterate z."""
+        phi, r, systems = ctx.residual_parts(*_unstack(z, n_nodes))
+        return float(np.abs(r).max()), phi, systems
+
     z = _stack(state.p, state.n)
-    history = [ctx.residual_norm(z)]
+    res, phi, systems = evaluated(z)
+    history = [res]
 
     # The residual is not monotone along the fixed-point path, so a refused
     # trial is relaxed, not searched along; relaxing also breaks the
     # two-cycles of the undamped map.
     pairs = []
     for it in range(1, config.picard_max_iters + 1):
-        sweep = ctx.linearized_solve(z)
+        sweep = ctx.linearized_solve(systems)
         pairs = pairs[-ANDERSON_DEPTH:] + [(z, sweep)]
         trial = _anderson_mix(pairs) if len(pairs) > 1 else sweep
-        res = ctx.residual_norm(trial) if _admissible(trial, bounds) else np.inf
-        if not (res < history[-1] or res <= config.picard_residual_tol):
+        at = (evaluated(trial) if _admissible(trial, bounds)
+              else (np.inf, None, None))
+        if not (at[0] < history[-1] or at[0] <= config.picard_residual_tol):
             pairs = pairs[-1:]
             trial = z + RELAXATION * (sweep - z)
-            res = ctx.residual_norm(trial)
-        # the residual is kept at the new z, where the next sweep starts
-        z = trial
+            at = evaluated(trial)
+        z, (res, phi, systems) = trial, at
         history.append(res)
         if res <= config.picard_residual_tol:
-            new_state = State(*_unstack(z, asm.mesh.num_nodes), ctx.phi,
-                              state.t + config.k)
+            new_state = State(*_unstack(z, n_nodes), phi, state.t + config.k)
             return new_state, it, history
     raise StepError(f"fixed-point loop failed at t={state.t + config.k:g}: "
                     f"residual {history[-1]:g} after {it} iterations, "
@@ -661,9 +655,10 @@ def run(scenario, on_step=None):
 
     ``on_step(step_index, state)`` is invoked for the initial state (index 0)
     and after every accepted step, each of which met
-    ``picard_residual_tol``.  Step failures abort the run; the raised
-    ``StepError`` or ``LinearSolveError`` carries the partial ``RunResult``
-    on its ``partial`` attribute so outputs can be flushed.
+    ``picard_residual_tol``.  Step failures abort the run; the
+    ``StepError``, ``LinearSolveError`` or ``ElectroneutralityError`` raised
+    by a step carries the partial ``RunResult`` on its ``partial`` attribute
+    so outputs can be flushed.
     """
     mesh = scenario.make_mesh()
     stencil = meshmod.build_sym_stencils(mesh)
@@ -708,7 +703,7 @@ def run(scenario, on_step=None):
     for m in range(1, nsteps + 1):
         try:
             state, iters, _history = step(state, config, asm, dmp_bounds)
-        except (StepError, LinearSolveError) as err:
+        except (StepError, LinearSolveError, ElectroneutralityError) as err:
             err.partial = RunResult(reports, initial_report, state, mesh, asm,
                                     (lo, hi), in_force)
             raise

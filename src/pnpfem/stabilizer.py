@@ -11,12 +11,13 @@ import numpy as np
 
 
 class EntropyFunctions:
-    """Entropy density x log x - x + 1, its derivative, and the quadratic
-    regularization of both below a threshold epsilon.
+    """Entropy density x log x - x + 1 and the derivative of its quadratic
+    regularization below a threshold epsilon.
 
-    ``g``/``dg`` are the regularized pair (dg is continuous at epsilon, both
+    ``dg`` is the regularized derivative (continuous at epsilon, both
     branches giving log epsilon); ``g0`` is the exact density, defined for
-    nonnegative arguments only, with g0(0) = 1 by continuity.
+    nonnegative arguments only, with g0(0) = 1 by continuity.  The scheme
+    never evaluates the regularized density; ``tests/oracles.py`` holds it.
     """
 
     def __init__(self, epsilon):
@@ -24,14 +25,6 @@ class EntropyFunctions:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = float(epsilon)
         self._log_eps = np.log(self.epsilon)
-
-    def g(self, s):
-        s = np.asarray(s, dtype=float)
-        eps = self.epsilon
-        low = (s * s - eps * eps) / (2.0 * eps) + (self._log_eps - 1.0) * s + 1.0
-        hi = s > eps
-        sh = np.where(hi, s, 1.0)
-        return np.where(hi, sh * np.log(sh) - sh + 1.0, low)
 
     def dg(self, s):
         s = np.asarray(s, dtype=float)

@@ -337,6 +337,15 @@ def _nonnegative(s):
     return s
 
 
+def g(s, eps):
+    """Regularized entropy density at a scalar s: s log s - s + 1 above the
+    threshold eps, and below it the quadratic that meets that branch at eps
+    with the same value and slope."""
+    if s > eps:
+        return s * np.log(s) - s + 1.0
+    return (s * s - eps * eps) / (2.0 * eps) + (np.log(eps) - 1.0) * s + 1.0
+
+
 def dg0(s):
     """Exact entropy derivative log s, for nonnegative s."""
     with np.errstate(divide="ignore"):

@@ -351,6 +351,13 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match=r"element 1 .* outside \[0, 4\)"):
             Mesh(nodes, np.array([[0, 1, 2], [1, 3, bad]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_node(self, bad):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError,
+                           match="node 2 has non-finite coordinates"):
+            Mesh(nodes, np.array([[0, 1, 2]]))
+
     def test_rejects_interior_node_with_boundary_tag(self):
         m = build_unit_square(2)
         tags = m.boundary_tags.copy()

@@ -320,7 +320,9 @@ def test_residual_matches_term_by_term_oracle(algorithm, where):
     config = SolverConfig(algorithm=algorithm, k=0.01)
     ctx = _StepContext(State(p_old, n_old, np.zeros(mesh.num_nodes), 0.0),
                        config, asm)
-    phi, r = ctx.residual_parts(p, n)
+    phi, r, (A_p, b_p, A_n, b_n) = ctx.residual_parts(p, n)
+    # the returned systems are the ones the residual was taken on
+    assert np.array_equal(r, np.concatenate([A_p @ p - b_p, A_n @ n - b_n]))
 
     a_p = compute_alpha(p, config.q, mesh, asm.stencil)
     a_n = compute_alpha(n, config.q, mesh, asm.stencil)

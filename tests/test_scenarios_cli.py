@@ -413,6 +413,39 @@ class TestCli:
         rows = diagnostics.read_csv(tmp_path / "out" / "diagnostics.csv")
         assert [r.t for r in rows] == [0.0]
 
+    def test_step_charge_imbalance_exits_3_with_partial_outputs(
+            self, tmp_path, capsys):
+        # pinned membrane cations under a pure-Neumann potential: step 1
+        # breaks electroneutrality, after the initial row was reported
+        cfg = self._neutral_config(
+            tmp_path, scenario="channel_selective", mesh={"cell": 0.5},
+            k=0.05, T=0.1, initial={},
+            bc={"phi_dirichlet": {}, "p_dirichlet": {"membrane": 1.0}})
+        assert cli_main(["--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "violates electroneutrality" in err
+        assert "partial outputs written" in err
+        csv_lines = (tmp_path / "out" / "diagnostics.csv").read_text()
+        assert len(csv_lines.splitlines()) == 2  # header + initial
+
+    def test_initial_charge_imbalance_is_usage_error(self, tmp_path,
+                                                       capsys):
+        cfg = self._neutral_config(
+            tmp_path, initial={"p0": "2+0*x", "n0": "1+0*x", "mode": "nodal"})
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "violates electroneutrality" in err
+        assert "partial" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    def test_invariant_violation_exits_1_with_outputs(self, tmp_path,
+                                                      monkeypatch, capsys):
+        from pnpfem.solver import RunResult
+        monkeypatch.setattr(RunResult, "flags_ok", lambda self: False)
+        assert cli_main(["--config", self._neutral_config(tmp_path)]) == 1
+        assert "invariant-violation" in capsys.readouterr().out
+        assert (tmp_path / "out" / "diagnostics.csv").exists()
+
     def test_summary_omits_zero_stagnated_count(self, tmp_path, capsys):
         assert cli_main(["--config", self._neutral_config(tmp_path)]) == 0
         assert "stagnated" not in capsys.readouterr().out

