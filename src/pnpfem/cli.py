@@ -94,17 +94,14 @@ def main(argv=None):
         return 2
 
     outdir = scenario.output_dir
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
     k = scenario.config.k
     snapshot_steps = {int(round(t / k)): t for t in scenario.snapshot_times}
     mesh = scenario.make_mesh()
 
     def on_step(m, state):
+        # the initial state has passed the checks of run
+        if m == 0:
+            os.makedirs(outdir, exist_ok=True)
         if m in snapshot_steps:
             name = f"snapshot_t{snapshot_steps[m]:g}.vtk"
             write_vtk_snapshot(state, mesh, os.path.join(outdir, name),
@@ -112,12 +109,12 @@ def main(argv=None):
 
     try:
         result = run(scenario, on_step=on_step)
-    except (StepError, LinearSolveError, ValueError) as err:
+    except (StepError, LinearSolveError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         # only an error raised by a step carries the completed steps
         partial = getattr(err, "partial", None)
         if partial is None:
-            return 2 if isinstance(err, ValueError) else 3
+            return 2 if isinstance(err, (ValueError, OSError)) else 3
         _write_outputs(outdir, partial)
         print(f"partial outputs written to {outdir}", file=sys.stderr)
         return 3

@@ -21,9 +21,6 @@ BOUNDARY_TAGS = (BOTTOM, TOP, MEMBRANE, OTHER_BOUNDARY)
 
 ACUTENESS_TOL = 1e-14
 
-# candidate far edges per block of the stencil build; bounds its memory
-STENCIL_BLOCK = 2**14
-
 
 class StencilError(RuntimeError):
     """Raised when a symmetric point cannot be constructed for a node pair."""
@@ -182,9 +179,8 @@ class Mesh:
         off = cols != rows
         self.pair_i = rows[off].copy()
         self.pair_j = cols[off].copy()
-        counts_off = np.bincount(self.pair_i, minlength=n)
-        self.pair_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts_off, out=self.pair_ptr[1:])
+        # every pattern row holds its diagonal, one entry that is no pair
+        self.pair_ptr = ptr - np.arange(n + 1)
 
         # unordered adjacent pairs (i < j), used by edge-based operators,
         # with the slots of their (i, j) and (j, i) entries
@@ -403,8 +399,9 @@ def build_sym_stencils(mesh):
     order on a tie.  Boundary pairs whose ray exits the domain immediately
     fall back to the one-sided rule.
 
-    The pairs are processed in blocks of at most ``STENCIL_BLOCK`` candidate
-    far edges, which bounds the memory of the set-up.
+    The far edges are scanned rank by rank, as the one-pair loop of the
+    reference does: rank r tests the r-th far edge of every pair whose node
+    has one, for all those pairs at once.
 
     Raises
     ------
@@ -438,52 +435,47 @@ def build_sym_stencils(mesh):
     far_e = pts[far_v] - pts[far_u]
     far_len = _lengths(far_e)
 
-    ncand = (far_ptr[1:] - far_ptr[:-1])[pair_i]
-    cand_end = np.cumsum(ncand)
-    start = 0
-    while start < npairs:
-        limit = cand_end[start] - ncand[start] + STENCIL_BLOCK
-        stop = max(int(np.searchsorted(cand_end, limit, side="right")),
-                   start + 1)
-        block = slice(start, stop)
-        i, counts = pair_i[block], ncand[block]
-        # candidate c is far edge f[c] of local pair owner[c]
-        owner = np.repeat(np.arange(stop - start), counts)
-        first = np.cumsum(counts) - counts
-        f = np.arange(owner.size) + np.repeat(far_ptr[i] - first, counts)
-        dc, e = d[block][owner], far_e[f]
+    # rank r holds far edge far_ptr[i] + r of every pair whose node i has
+    # one; the strict "t < best_t" keeps the first edge in element order on
+    # a tie
+    nfar = (far_ptr[1:] - far_ptr[:-1])[pair_i]
+    best_t = np.full(npairs, np.inf)
+    best_f, best_s = np.zeros(npairs, dtype=np.int64), np.zeros(npairs)
+    live = np.arange(npairs)
+    for r in range(int(nfar.max())):
+        live = live[nfar[live] > r]
+        i = pair_i[live]
+        f = far_ptr[i] + r
+        dc, e = d[live], far_e[f]
         denom = dc[:, 0] * e[:, 1] - dc[:, 1] * e[:, 0]
-        parallel = np.abs(denom) < parallel_scale[block][owner] * far_len[f]
+        parallel = np.abs(denom) < parallel_scale[live] * far_len[f]
         denom[parallel] = 1.0
-        w = pts[far_u[f]] - pts[i][owner]
+        w = pts[far_u[f]] - pts[i]
         t = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
         s = (w[:, 0] * dc[:, 1] - w[:, 1] * dc[:, 0]) / denom
-        hit = (~parallel & (t > 1e-12) & (t < np.inf)
+        hit = (~parallel & (t > 1e-12) & (t < best_t[live])
                & (s >= -1e-12) & (s <= 1.0 + 1e-12))
-        t = np.where(hit, t, np.inf)
-        best_t = np.minimum.reduceat(t, first)
+        q = live[hit]
+        best_t[q], best_f[q], best_s[q] = t[hit], f[hit], s[hit]
 
-        bad = np.flatnonzero((best_t == np.inf) & ~mesh.boundary_mask[i])
-        if bad.size:
-            p = start + int(bad[0])
-            raise StencilError(
-                f"no symmetric point for interior pair "
-                f"({int(pair_i[p])}, {int(pair_j[p])})"
-            )
+    found = best_t < np.inf
+    bad = np.flatnonzero(~found & ~mesh.boundary_mask[pair_i])
+    if bad.size:
+        p = int(bad[0])
+        raise StencilError(
+            f"no symmetric point for interior pair "
+            f"({int(pair_i[p])}, {int(pair_j[p])})"
+        )
 
-        # the first candidate at the minimum, as a strict "t < best" scan
-        pick = np.flatnonzero(hit & (t == best_t[owner]))
-        pick = pick[np.unique(owner[pick], return_index=True)[1]]
-        p = start + owner[pick]
-        s = s[pick]
-        s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
-        point = pts[pair_i[p]] + t[pick, None] * d[p]
-        sym_nodes[p] = np.column_stack([far_u[f[pick]], far_v[f[pick]]])
-        sym_weights[p] = np.column_stack([1.0 - s, s])
-        sym_points[p] = point
-        r_sym_len[p] = _lengths(point - pts[pair_i[p]])
-        one_sided[p] = False
-        start = stop
+    p = np.flatnonzero(found)
+    f, s = best_f[p], best_s[p]
+    s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
+    point = pts[pair_i[p]] + best_t[p, None] * d[p]
+    sym_nodes[p] = np.column_stack([far_u[f], far_v[f]])
+    sym_weights[p] = np.column_stack([1.0 - s, s])
+    sym_points[p] = point
+    r_sym_len[p] = _lengths(point - pts[pair_i[p]])
+    one_sided[p] = False
 
     return SymmetricStencil(
         mesh, sym_nodes, sym_weights, sym_points, r_len, r_sym_len, one_sided

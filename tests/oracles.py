@@ -657,6 +657,19 @@ def jittered_delaunay_mesh(n, jitter, seed):
     return Mesh(pts, tri)
 
 
+
+def fan_mesh(valence):
+    """Triangles fanned around one interior node at the origin, whose
+    ``valence`` neighbors are evenly spaced on the unit circle: at even
+    valence every ray from a neighbor through the center passes through the
+    opposite neighbor."""
+    angle = 2.0 * np.pi * np.arange(valence) / valence
+    nodes = np.vstack([[0.0, 0.0],
+                       np.column_stack([np.cos(angle), np.sin(angle)])])
+    rim = np.arange(1, valence + 1)
+    return Mesh(nodes, np.column_stack([np.zeros_like(rim), rim,
+                                        np.roll(rim, -1)]))
+
 def boundary_mask(mesh):
     """Nodes on an element edge that no other element shares, found by
     counting each sorted element edge over all elements."""

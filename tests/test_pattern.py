@@ -89,6 +89,13 @@ def test_pattern_is_the_node_adjacency(case):
     assert np.array_equal(cols[mesh.edge_slots], mesh.edge_j)
     assert np.array_equal(rows[mesh.edge_slots_t], mesh.edge_j)
     assert np.array_equal(rows[mesh.diag_slots], cols[mesh.diag_slots])
+    # the pairs are the off-diagonal pattern entries, grouped by pair_ptr
+    off = rows != cols
+    assert mesh.pair_ptr.dtype == np.int64
+    assert np.array_equal(
+        np.repeat(np.arange(mesh.num_nodes), np.diff(mesh.pair_ptr)), rows[off])
+    assert np.array_equal(mesh.pair_i, rows[off])
+    assert np.array_equal(mesh.pair_j, cols[off])
     tri = mesh.elements
     slots = mesh.element_slots
     assert np.array_equal(rows[slots], np.repeat(tri[:, :, None], 3, axis=2))

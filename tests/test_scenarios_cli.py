@@ -436,7 +436,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "violates electroneutrality" in err
         assert "partial" not in err
-        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_invariant_violation_exits_1_with_outputs(self, tmp_path,
                                                       monkeypatch, capsys):
