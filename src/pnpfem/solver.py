@@ -8,7 +8,9 @@ residual, else the relaxed sweep, and the potential is recomputed from it.
 A step either meets its residual tolerance or raises ``StepError``.
 Algorithm 1 uses the consistent mass matrix, an implicit drift matrix and
 matrix-coupling stabilization; algorithm 2 uses the lumped mass, the
-explicit edge-based transport term and entropy-secant stabilization.
+edge-based transport term and entropy-secant stabilization.  Its transport
+enters the sweep as an upwind matrix on the new iterate, with the rest of
+the term lagged, so that both schemes' matrices carry their drift.
 """
 
 import numbers
@@ -26,10 +28,12 @@ from .fespace import (
     lumped_mass_vector,
 )
 from .stabilizer import (
+    Alg2Edges,
     build_stabilizer_alg1,
     build_stabilizer_alg2,
     entropy_functions,
     star_transport_vector,
+    upwind_transport,
 )
 from . import diagnostics, mesh as meshmod
 from .mesh import _whole
@@ -450,20 +454,24 @@ class _StepContext:
             self._A_base = K.copy()
             self._A_base[asm.mesh.diag_slots] += asm.d * (1.0 / k)
             self._b_old = (asm.d * state.p / k, asm.d * state.n / k)
+            self._kij = asm.mesh.edge_entries(asm.stiffness)
 
     def systems(self, p, n, phi):
         """The two density systems with coefficients frozen at (p, n, phi).
 
         Algorithm 1: (M/k + K +- G + B) x = M x_old / k, with the drift G
-        of phi.  Algorithm 2: (D/k + K + B) x = D x_old / k -+ v(x, phi),
-        with the edge transport v.  B is each species' stabilizer, + is the
-        cation sign, and pinned cation rows are identity rows.
+        of phi.  Algorithm 2: (D/k + K + B +- T) x = D x_old / k -+ r, where
+        the edge transport v(x, phi) is split into its upwind matrix T(x,
+        phi) and the lagged remainder r = v - T x, so that A(z) z - b(z) is
+        the scheme's residual with v in full.  B is each species'
+        stabilizer, + is the cation sign, and pinned cation rows are
+        identity rows.
 
         Returns (A_p, b_p, A_n, b_n), each A a CSR matrix on the mesh's P1
         pattern.
         """
         asm, cfg, k = self.asm, self.config, self.k
-        mesh, K = asm.mesh, asm.stiffness
+        mesh, K, fns = asm.mesh, asm.stiffness, asm.fns
         a_p = compute_alpha(p, cfg.q, mesh, asm.stencil)
         a_n = compute_alpha(n, cfg.q, mesh, asm.stencil)
         b_p, b_n = self._b_old
@@ -474,12 +482,18 @@ class _StepContext:
             A_p = self._A_base + G.data + Bp.values
             A_n = self._A_base - G.data + Bn.values
         else:
-            Bp = build_stabilizer_alg2(+1, p, phi, a_p, asm.fns, K, mesh)
-            Bn = build_stabilizer_alg2(-1, n, phi, a_n, asm.fns, K, mesh)
-            A_p = self._A_base + Bp.values
-            A_n = self._A_base + Bn.values
-            b_p = b_p - star_transport_vector(p, phi, asm.fns, K, mesh)
-            b_n = b_n + star_transport_vector(n, phi, asm.fns, K, mesh)
+            # the potential's edge drive, shared by both species
+            s = (phi[mesh.edge_j] - phi[mesh.edge_i]) * self._kij
+            species = []
+            for sign, x, alpha, b in ((+1, p, a_p, b_p), (-1, n, a_n, b_n)):
+                e = Alg2Edges(x, s, self._kij, fns, mesh)
+                B = build_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh,
+                                          edges=e)
+                T, Tx = upwind_transport(sign, e)
+                v = star_transport_vector(x, phi, fns, K, mesh, edges=e)
+                species.append((self._A_base + B.values + sign * T,
+                                b - sign * (v - Tx)))
+            (A_p, b_p), (A_n, b_n) = species
         if asm.p_fixed.size:
             A_p = asm.pin_p_rows(A_p)
             b_p = b_p.copy()

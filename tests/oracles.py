@@ -447,6 +447,30 @@ def coo_star_transport_vector(x, phi, fns, stiffness, mesh):
     return v
 
 
+def loop_upwind_transport(sign, x, phi, stiffness, mesh):
+    """(T, T x): one species' upwind transport matrix, edge by edge from the
+    elements, and its product with x.  The flow s (theta x_i + (1 - theta)
+    x_j) of each edge i < j, with s = (phi_j - phi_i) K_ij, enters node i
+    and leaves node j; theta is 1 where sign s > 0, else 0."""
+    n = mesh.num_nodes
+    K = stiffness.tolil()
+    T = sp.lil_matrix((n, n))
+    Tx = np.zeros(n)
+    edges = {tuple(sorted((int(tri[a]), int(tri[(a + 1) % 3]))))
+             for tri in mesh.elements for a in range(3)}
+    for i, j in sorted(edges):
+        s = (phi[j] - phi[i]) * K[i, j]
+        theta = 1.0 if sign * s > 0.0 else 0.0
+        T[i, i] += s * theta
+        T[i, j] += s * (1.0 - theta)
+        T[j, i] -= s * theta
+        T[j, j] -= s * (1.0 - theta)
+        flow = s * (theta * x[i] + (1.0 - theta) * x[j])
+        Tx[i] += flow
+        Tx[j] -= flow
+    return T.tocsr(), Tx
+
+
 def coo_pinned_rows(A, fixed):
     """A with the rows of the fixed nodes replaced by identity rows, by
     multiplying with diagonal row masks."""

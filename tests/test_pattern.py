@@ -287,20 +287,28 @@ def test_pinned_row_systems(algorithm):
         Bp = oracles.coo_stabilizer_alg1(+1, k, a_p, mesh, M, K, G)
         Bn = oracles.coo_stabilizer_alg1(-1, k, a_n, mesh, M, K, G)
         exp_p, exp_n = base + G + Bp, base - G + Bn
-        exp_b_p = M @ p / k
+        exp_b_p, exp_b_n = M @ p / k, M @ n / k
     else:
+        # the upwind matrix T of each species' transport v is in A, and the
+        # remainder v - T x in b
         base = oracles.sp.diags(asm.d / k) + K
-        exp_p = base + oracles.coo_stabilizer_alg2(+1, p, phi, a_p, fns, K,
-                                                   mesh)
-        exp_n = base + oracles.coo_stabilizer_alg2(-1, n, phi, a_n, fns, K,
-                                                   mesh)
-        exp_b_p = asm.d * p / k - oracles.coo_star_transport_vector(
-            p, phi, fns, K, mesh)
+        T_p, Tp_p = oracles.loop_upwind_transport(+1, p, phi, K, mesh)
+        T_n, Tn_n = oracles.loop_upwind_transport(-1, n, phi, K, mesh)
+        assert min(abs(T_p).max(), abs(T_n).max()) > 0.0
+        exp_p = base + T_p + oracles.coo_stabilizer_alg2(
+            +1, p, phi, a_p, fns, K, mesh)
+        exp_n = base - T_n + oracles.coo_stabilizer_alg2(
+            -1, n, phi, a_n, fns, K, mesh)
+        exp_b_p = asm.d * p / k - (oracles.coo_star_transport_vector(
+            p, phi, fns, K, mesh) - Tp_p)
+        exp_b_n = asm.d * n / k + (oracles.coo_star_transport_vector(
+            n, phi, fns, K, mesh) - Tn_n)
     exp_p = oracles.coo_pinned_rows(exp_p, asm.p_fixed)
     assert _close(A_p, exp_p)
     assert _close(A_n, exp_n)
     exp_b_p[asm.p_fixed] = 1.0
     assert _close(b_p, exp_b_p)
+    assert _close(b_n, exp_b_n)
 
 
 # the pinned-row channel under the +-50 drop of channel_wave, which makes the

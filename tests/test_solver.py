@@ -362,12 +362,14 @@ class TestRun:
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_divergent_step_raises_with_partial_result(self):
-        # channel_wave under Alg. 2 at k = 0.2: the Picard map of the first
-        # step diverges, no iterate reaches the tolerance, and the run fails
+        # channel_wave under Alg. 2 at k = 0.2 with the potential drop raised
+        # a hundredfold: the Picard map of the first step diverges (smallest
+        # residual 58.3), no iterate reaches the tolerance, and the run fails
         # there instead of keeping one
         sc = scenario_from_config({
             "scenario": "channel_wave", "algorithm": 2,
-            "mesh": {"cell": 0.25}, "k": 0.2, "T": 0.4}, "test")
+            "mesh": {"cell": 0.25}, "k": 0.2, "T": 0.4,
+            "bc": {"phi_dirichlet": {"bottom": -5000, "top": 5000}}}, "test")
         with pytest.raises(StepError) as err:
             run(sc)
         hist = err.value.residual_history
@@ -375,6 +377,20 @@ class TestRun:
         assert len(hist) == sc.config.picard_max_iters + 1
         assert min(hist) > sc.config.picard_residual_tol
         assert f"smallest {min(hist):g}" in str(err.value)
+
+    @pytest.mark.parametrize("k", [0.02, 0.05, 0.2])
+    def test_channel_wave_alg2_converges_at_large_steps(self, k):
+        # with the transport all in b, the first step failed at k = 0.05
+        # (smallest residual 2.4e-5) and k = 0.2 (5.63), and k = 0.02 took
+        # 22-23 iterations a step; the upwind matrix in A takes 13-15,
+        # 18-20 and 17-27
+        sc = scenario_from_config({
+            "scenario": "channel_wave", "algorithm": 2,
+            "mesh": {"cell": 0.25}, "k": k, "T": 5 * k}, "test")
+        result = run(sc)
+        assert len(result.reports) == 5
+        assert max(rep.picard_iters for rep in result.reports) <= 30
+        assert result.flags_ok()
 
     @pytest.mark.parametrize("algorithm", [1, 2])
     def test_every_returned_step_meets_the_tolerance(self, algorithm,

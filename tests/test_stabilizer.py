@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpfem import (
+    Assemblies,
+    BoundarySpec,
+    SolverConfig,
+    State,
     assemble_drift,
     build_stabilizer_alg1,
     build_stabilizer_alg2,
+    build_sym_stencils,
     compute_alpha,
     entropy_functions,
     star_transport,
     star_transport_vector,
 )
+from pnpfem.solver import _StepContext
+from pnpfem.stabilizer import Alg2Edges, upwind_transport
 
 import oracles
 from oracles import (d2g0, dg0, g, pair_fluxes_alg1, pair_fluxes_alg2,
@@ -312,3 +321,59 @@ class TestStabilizerAlg2:
         B = build_stabilizer_alg2(+1, x, phi, np.zeros(mesh.num_nodes), fns,
                                   square8_ops["stiffness"], mesh)
         assert abs(B.matrix).max() == 0.0
+
+
+class TestUpwindTransport:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 10), jitter=st.floats(0.0, 0.35),
+           seed=st.integers(0, 2**32 - 1), field=st.floats(0.1, 100.0),
+           k=st.floats(1e-3, 1.0))
+    def test_split_on_jittered_delaunay(self, n, jitter, seed, field, k):
+        """+T_p and -T_n have nonpositive off-diagonals and zero column
+        sums, T x plus the remainder s (tau - upwind value) is the
+        transport, and the Alg. 2 residual is the one with the transport
+        all in b."""
+        mesh = oracles.jittered_delaunay_mesh(n, jitter, seed)
+        fns = entropy_functions(1e-8)
+        asm = Assemblies(mesh, build_sym_stencils(mesh), BoundarySpec(), fns)
+        K, N = asm.stiffness, mesh.num_nodes
+        rng = np.random.default_rng(seed)
+        p_old, n_old, p, n = rng.uniform(0.01, 3.0, size=(4, N))
+        phi = field * rng.normal(size=N)
+        ctx = _StepContext(State(p_old, n_old, phi, 0.0),
+                           SolverConfig(algorithm=2, k=k), asm)
+        A_p, b_p, A_n, b_n = ctx.systems(p, n, phi)
+        for sign, x in ((+1, p), (-1, n)):
+            values, Tx = upwind_transport(
+                sign, Alg2Edges.of(x, phi, fns, K, mesh))
+            T = mesh.csr(values)
+            scale = abs(T).max()
+            off = sign * values
+            off[mesh.diag_slots] = 0.0
+            assert off.max() <= 0.0
+            assert np.abs(T.sum(axis=0)).max() <= 1e-13 * scale
+            assert np.abs(Tx - T @ x).max() <= 1e-13 * scale * x.max()
+            r = np.zeros(N)
+            for i, j in zip(mesh.edge_i, mesh.edge_j):
+                s = (phi[j] - phi[i]) * K[i, j]
+                upwind = x[i] if sign * s > 0.0 else x[j]
+                flow = s * (oracles.secant_slope(i, j, x, fns) - upwind)
+                r[i] += flow
+                r[j] -= flow
+            v = star_transport_vector(x, phi, fns, K, mesh)
+            assert np.abs(T @ x + r - v).max() <= 1e-12 * scale * x.max()
+        a_p = compute_alpha(p, 2.0, mesh, asm.stencil)
+        a_n = compute_alpha(n, 2.0, mesh, asm.stencil)
+        (r_p, r_n), terms = oracles.coo_residual(
+            2, k, mesh, fns, p_old, n_old, p, n, phi, a_p, a_n,
+            asm.p_fixed, asm.p_fixed_values)
+        got = np.concatenate([A_p @ p - b_p, A_n @ n - b_n])
+        scale = max(np.abs(t).max() for t in terms)
+        assert np.abs(got - np.concatenate([r_p, r_n])).max() <= 1e-12 * scale
+
+    def test_rejects_bad_sign(self, square8, square8_ops, fns):
+        x = np.ones(square8.num_nodes)
+        edges = Alg2Edges.of(x, x, fns, square8_ops["stiffness"], square8)
+        for sign in (0, 2):
+            with pytest.raises(ValueError):
+                upwind_transport(sign, edges)
