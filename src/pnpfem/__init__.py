@@ -45,7 +45,6 @@ from .solver import (
     SolverConfig,
     State,
     StepError,
-    epsilon_for_scenario,
     picard_step_alg1,
     picard_step_alg2,
     run,

@@ -38,7 +38,9 @@ from .stabilizer import (
 from . import diagnostics, mesh as meshmod
 from .mesh import _whole
 
-EPSILON_FLOOR = 1e-8
+# the regularization threshold of the entropy derivative, below which dg is
+# linear, for every run
+EPSILON = 1e-8
 ELECTRONEUTRALITY_TOL = 1e-2
 # the backward-error bound of every linear solve
 LINEAR_TOL = 1e-12
@@ -380,25 +382,6 @@ class Assemblies:
                                 LaggedFactor(self.solve_plan))
 
 
-def epsilon_for_scenario(p0, n0, bc):
-    """Regularization threshold adapted to the boundary conditions.
-
-    Isolated (pure-Neumann) runs keep the bounds of the initial data, so the
-    threshold can sit below the initial minimum and the regularized branch
-    never activates: it is half the smallest initial density, which is
-    strictly below that minimum whenever the minimum is positive.  Driven
-    runs (any Dirichlet data) push densities below the initial minimum
-    toward zero; there the threshold must be tiny, or the max(value,
-    epsilon) floor of the transport secant keeps extracting mass from an
-    emptied wall node and makes it negative.  Both are floored, because
-    saturated initial data can reach exactly zero in floating point.
-    """
-    if bc.isolated:
-        m = 0.5 * min(float(np.min(p0)), float(np.min(n0)))
-        return max(m, EPSILON_FLOOR)
-    return EPSILON_FLOOR
-
-
 def _anderson_mix(pairs):
     """Anderson mix of sweep pairs (z_j, G(z_j)), oldest first.
 
@@ -593,8 +576,9 @@ class RunResult:
     """Outcome of a scenario run.
 
     ``reports`` has one entry per executed step, each of which met
-    ``picard_residual_tol`` (or the initial report alone when no step fits
-    in [0, T]); ``initial_report`` is always available.
+    ``picard_residual_tol``, and is empty when no step fits in [0, T];
+    ``initial_report`` is always available, and ``all_reports()`` puts it
+    first.
     ``in_force`` records which invariant flags the scenario's theory
     guarantees, for strict exit checking.
     """
@@ -610,9 +594,7 @@ class RunResult:
         self.in_force = in_force
 
     def all_reports(self):
-        if self.reports and self.reports[0] is self.initial_report:
-            return list(self.reports)
-        return [self.initial_report] + list(self.reports)
+        return [self.initial_report] + self.reports
 
     def flags_ok(self):
         """True when every in-force flag holds on every report."""
@@ -623,7 +605,7 @@ class RunResult:
         return True
 
 
-def _make_report(state, asm, fns, bounds, mass0, prev_entropy, picard_iters,
+def _make_report(state, asm, bounds, mass0, prev_entropy, picard_iters,
                  smallness_ok):
     """Diagnostics row for one state.  Entropy and dissipation are evaluated
     with negative density entries clamped to zero (bound violations still
@@ -633,7 +615,8 @@ def _make_report(state, asm, fns, bounds, mass0, prev_entropy, picard_iters,
     mass_n = diagnostics.mass(state.n, asm.d)
     p = np.maximum(state.p, 0.0)
     n = np.maximum(state.n, 0.0)
-    entropy = diagnostics.entropy_Eh(p, n, state.phi, asm.d, asm.stiffness, fns)
+    entropy = diagnostics.entropy_Eh(p, n, state.phi, asm.d, asm.stiffness,
+                                    asm.fns)
     dissip = (
         diagnostics.dissipation_Dh(p, state.phi, asm.stiffness, asm.mesh)
         + diagnostics.dissipation_Dh(n, state.phi, asm.stiffness, asm.mesh)
@@ -677,8 +660,7 @@ def run(scenario, on_step=None):
     mesh = scenario.make_mesh()
     stencil = meshmod.build_sym_stencils(mesh)
     p0, n0 = scenario.initial_fields(mesh)
-    fns = entropy_functions(epsilon_for_scenario(p0, n0, scenario.bc))
-    asm = Assemblies(mesh, stencil, scenario.bc, fns)
+    asm = Assemblies(mesh, stencil, scenario.bc, entropy_functions(EPSILON))
     config = scenario.config
     phi0 = asm.poisson.solve(p0 - n0)
     state = State(p0, n0, phi0, 0.0)
@@ -686,7 +668,7 @@ def run(scenario, on_step=None):
     lo = min(float(p0.min()), float(n0.min()))
     hi = max(float(p0.max()), float(n0.max()))
     smallness_ok = 1.0 - config.k * (hi - lo) > 0.0
-    if not smallness_ok:
+    if config.algorithm == 1 and not smallness_ok:
         warnings.warn(
             f"time step k={config.k:g} is not small against the initial "
             f"range {hi - lo:g}; the bound-preservation premise of "
@@ -696,14 +678,14 @@ def run(scenario, on_step=None):
 
     mass0 = (diagnostics.mass(p0, asm.d), diagnostics.mass(n0, asm.d))
     initial_report = _make_report(
-        state, asm, fns, (lo, hi), mass0, None, 0, smallness_ok
+        state, asm, (lo, hi), mass0, None, 0, smallness_ok
     )
     acute = meshmod.check_acuteness(mesh, asm.stiffness).is_acute
     in_force = {
         "dmp_ok": scenario.bc.isolated,
         "mass_ok": True,
         "entropy_ok": config.algorithm == 2 and acute and scenario.bc.isolated,
-        "smallness_ok": False,  # warned about, never enforced
+        "smallness_ok": False,  # warned about under Alg. 1, never enforced
     }
 
     if on_step is not None:
@@ -721,11 +703,11 @@ def run(scenario, on_step=None):
             err.partial = RunResult(reports, initial_report, state, mesh, asm,
                                     (lo, hi), in_force)
             raise
-        rep = _make_report(state, asm, fns, (lo, hi), mass0, prev_entropy,
-                           iters, smallness_ok)
+        rep = _make_report(state, asm, (lo, hi), mass0, prev_entropy, iters,
+                           smallness_ok)
         prev_entropy = rep.entropy
         reports.append(rep)
         if on_step is not None:
             on_step(m, state)
-    return RunResult(reports or [initial_report], initial_report, state, mesh,
-                     asm, (lo, hi), in_force)
+    return RunResult(reports, initial_report, state, mesh, asm, (lo, hi),
+                     in_force)

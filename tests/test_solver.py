@@ -28,6 +28,7 @@ from pnpfem.scenarios import (
 from pnpfem.solver import (
     ANDERSON_DEPTH,
     DMP_TOL,
+    EPSILON,
     LINEAR_TOL,
     RELAXATION,
     LaggedFactor,
@@ -35,7 +36,6 @@ from pnpfem.solver import (
     _StepContext,
     _anderson_mix,
     _backward_error,
-    epsilon_for_scenario,
 )
 
 import oracles
@@ -63,7 +63,7 @@ def first_state(sc):
     mesh = sc.make_mesh()
     p0, n0 = sc.initial_fields(mesh)
     asm = Assemblies(mesh, build_sym_stencils(mesh), sc.bc,
-                     entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
+                     entropy_functions(EPSILON))
     bounds = (min(p0.min(), n0.min()), max(p0.max(), n0.max()))
     return asm, State(p0, n0, asm.poisson.solve(p0 - n0), 0.0), bounds
 
@@ -187,9 +187,7 @@ class TestSteps:
         mesh = sc.make_mesh()
         st = build_sym_stencils(mesh)
         p0, n0 = sc.initial_fields(mesh)
-        from pnpfem.solver import epsilon_for_scenario
-        asm = Assemblies(mesh, st, sc.bc,
-                         entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
+        asm = Assemblies(mesh, st, sc.bc, entropy_functions(EPSILON))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
         new, iters, hist = step(state, sc.config, asm)
@@ -201,9 +199,7 @@ class TestSteps:
         mesh = sc.make_mesh()
         st = build_sym_stencils(mesh)
         p0, n0 = sc.initial_fields(mesh)
-        from pnpfem.solver import epsilon_for_scenario
-        asm = Assemblies(mesh, st, sc.bc,
-                         entropy_functions(epsilon_for_scenario(p0, n0, sc.bc)))
+        asm = Assemblies(mesh, st, sc.bc, entropy_functions(EPSILON))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
         new, *_ = step(state, sc.config, asm)
@@ -281,8 +277,9 @@ class TestRun:
     def test_zero_steps_returns_initial_report(self):
         sc = uniform_scenario(1, k=0.1, T=0.05)
         result = run(sc)
-        assert len(result.reports) == 1
-        assert result.reports[0].t == 0.0
+        assert result.reports == []
+        assert result.all_reports() == [result.initial_report]
+        assert result.initial_report.t == 0.0
         assert result.state.t == 0.0
 
     def test_report_count_matches_steps(self):
@@ -307,6 +304,19 @@ class TestRun:
             warnings.simplefilter("always")
             run(sc)
         assert any("not small" in str(w.message) for w in caught)
+
+    def test_no_smallness_warning_under_algorithm_2(self):
+        # the premise 1 - k (hi - lo) > 0 belongs to algorithm 1; an Alg. 2
+        # run that breaks it keeps its smallness_ok column at 0, unwarned
+        sc = scenario_from_config({
+            "scenario": "channel_wave", "algorithm": 2,
+            "mesh": {"cell": 0.25}, "k": 1.0, "T": 1.0}, "test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(sc)
+        assert len(result.reports) == 1
+        assert not any(r.smallness_ok for r in result.all_reports())
+        assert result.flags_ok()
 
     def test_step_error_carries_partial_result(self):
         sc = unreachable_tolerance(smooth_scenario(1, k=1e-3, T=3e-3), 2)
@@ -433,14 +443,38 @@ class TestRunResultFlags:
         result.in_force["dmp_ok"] = False
         assert result.flags_ok()
 
-    def test_epsilon_policy(self):
-        from pnpfem import epsilon_for_scenario
-        p0 = np.full(4, 1.0)
-        n0 = np.full(4, 2.0)
-        assert epsilon_for_scenario(p0, n0, BoundarySpec()) == 0.5
-        driven = BoundarySpec(phi_dirichlet={BOTTOM: -1.0})
-        assert epsilon_for_scenario(p0, n0, driven) == 1e-8
-        assert epsilon_for_scenario(np.zeros(4), n0, BoundarySpec()) == 1e-8
+    @pytest.mark.parametrize("kind,algorithm", [
+        ("strip", 2), ("floored square", 1), ("floored square", 2)])
+    def test_one_epsilon_for_isolated_data(self, kind, algorithm,
+                                           monkeypatch):
+        # isolated data far above EPSILON: the rows at EPSILON equal those
+        # at half the initial minimum, which no iterate falls below
+        import pnpfem.solver as solver
+        from pnpfem import build_equilateral_strip
+        if kind == "strip":
+            mesh = build_equilateral_strip(8, 8, side=0.125)
+            cx, cy = mesh.nodes.mean(axis=0)
+            hump = lambda x, y, s: 2.0 + 1.5 * np.exp(
+                -60 * ((x - cx - s) ** 2 + (y - cy) ** 2))
+            shape = ("mesh", mesh)
+            initial = (lambda x, y: hump(x, y, 0.25),
+                       lambda x, y: hump(x, y, -0.25))
+        else:
+            shape = ("square", 16)
+            initial = (lambda x, y: smooth_p0(x, y) + 1e-4,
+                       lambda x, y: smooth_n0(x, y) + 1e-4)
+        sc = Scenario(kind, shape, initial + ("averaged",), BoundarySpec(),
+                      SolverConfig(algorithm=algorithm, k=1e-3, T=2e-2))
+        p0, n0 = sc.initial_fields(sc.make_mesh())
+        half_min = 0.5 * min(p0.min(), n0.min())
+        assert half_min > 1e3 * EPSILON
+
+        def rows():
+            return [rep.row() for rep in run(sc).all_reports()]
+
+        at_epsilon = rows()
+        monkeypatch.setattr(solver, "EPSILON", half_min)
+        assert rows() == at_epsilon
 
 
 class TestConfigValidation:
