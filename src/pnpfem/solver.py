@@ -261,28 +261,38 @@ class LaggedFactor:
     them.
 
     Each system ``A x = b`` is solved with the kept factor, of an earlier
-    and nearby matrix, and corrected by ``x += LU^-1 (b - A x)`` until its
-    backward error is at most ``LINEAR_TOL`` (inexact Picard: Dembo,
-    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  When a
-    correction does not contract the error, or its contraction forecasts
-    more than ``LAGGED_CORRECTIONS`` corrections in all, the current matrix
-    is factored and kept instead; a fresh factor is corrected while that
-    pays.  The old factor is released before the new one is built, so a
-    refactor never holds two factors, which would raise the peak memory.
-    Every answer ends at ``_gate``, 1e3 ``LINEAR_TOL``.
+    and nearby matrix, from a start x0 that the caller has at hand, such as
+    the Picard iterate: ``x = x0 - LU^-1 (A x0 - b)``.  It is corrected by
+    ``x += LU^-1 (b - A x)`` until its backward error is at most
+    ``LINEAR_TOL`` (iterative refinement with a stale factor: Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 12,
+    inside an inexact Picard loop: Dembo, Eisenstat & Steihaug, SIAM J.
+    Numer. Anal. 19, 1982).  When a correction does not contract the
+    error, or its contraction forecasts more than ``LAGGED_CORRECTIONS``
+    corrections in all, the current matrix is factored and kept instead; a
+    fresh factor is corrected while that pays.  The old factor is released
+    before the new one is built, so a refactor never holds two factors,
+    which would raise the peak memory.  Every answer ends at ``_gate``, 1e3
+    ``LINEAR_TOL``.
     """
 
     def __init__(self, plan):
         self.plan = plan
         self.lu = None
 
-    def solve(self, A, b):
-        """x with A x = b, for a CSR matrix ``A`` on the plan's pattern."""
+    def solve(self, A, b, x0=None, r0=None):
+        """x with A x = b, for a CSR matrix ``A`` on the plan's pattern,
+        started from ``x0``, given with its residual ``r0`` = A x0 - b, or
+        by default from zero: the first solution is x0 - LU^-1 r0, and a
+        refactor restarts from it.  From zero this is LU^-1 b, as negation
+        is exact."""
+        if x0 is None:
+            x0, r0 = 0.0, -b
         plan, abs_A = self.plan, abs(A)
         fresh = self.lu is None
         if fresh:
             self.lu = plan.factor(A.data)
-        x = plan.solve(self.lu, b)
+        x = x0 - plan.solve(self.lu, r0)
         err, r = _backward_error(A, abs_A, x, b)
         corrections = 0
         while not err <= LINEAR_TOL:
@@ -303,7 +313,7 @@ class LaggedFactor:
             self.lu = None
             self.lu = plan.factor(A.data)
             fresh, corrections = True, 0
-            x = plan.solve(self.lu, b)
+            x = x0 - plan.solve(self.lu, r0)
             err, r = _backward_error(A, abs_A, x, b)
         return _gate(x, err, "density")
 
@@ -417,9 +427,11 @@ def _unstack(z, n_nodes):
 class _StepContext:
     """One time step's per-iterate systems A(z) z = b(z), z = (p, n).
 
-    ``systems`` is the only description of either scheme.  The residual is
-    A(z) z - b(z) of the systems built at z, which ``residual_parts``
-    returns with it, and a sweep from z solves exactly those systems.
+    ``iterate_part`` and ``systems`` are the only description of either
+    scheme.  A and the part c of b = b_old + c depend on the iterate, b_old
+    only on the step's start.  The residual is A(z) z - b(z) of the systems
+    built at z, which ``residual_parts`` returns with it, and a sweep from z
+    solves exactly those systems.
     """
 
     def __init__(self, state, config, asm):
@@ -438,97 +450,130 @@ class _StepContext:
             self._A_base[asm.mesh.diag_slots] += asm.d * (1.0 / k)
             self._b_old = (asm.d * state.p / k, asm.d * state.n / k)
             self._kij = asm.mesh.edge_entries(asm.stiffness)
+        # a pinned cation row takes its value from c alone
+        self._b_old[0][asm.p_fixed] = 0.0
 
-    def systems(self, p, n, phi):
-        """The two density systems with coefficients frozen at (p, n, phi).
+    def iterate_part(self, p, n, phi):
+        """The parts of the two density systems that depend on the iterate:
+        A and c of b = b_old + c, with coefficients frozen at (p, n, phi).
 
-        Algorithm 1: (M/k + K +- G + B) x = M x_old / k, with the drift G
-        of phi.  Algorithm 2: (D/k + K + B +- T) x = D x_old / k -+ r, where
-        the edge transport v(x, phi) is split into its upwind matrix T(x,
-        phi) and the lagged remainder r = v - T x, so that A(z) z - b(z) is
-        the scheme's residual with v in full.  B is each species'
-        stabilizer, + is the cation sign, and pinned cation rows are
-        identity rows.
+        Algorithm 1: A = M/k + K +- G + B, with the drift G of phi, and
+        c = 0; b_old = M x_old / k.  Algorithm 2: A = D/k + K + B +- T and
+        c = -+ r, where the edge transport v(x, phi) is split into its
+        upwind matrix T(x, phi) and the lagged remainder r = v - T x, so
+        that A(z) z - b(z) is the scheme's residual with v in full; b_old =
+        D x_old / k.  B is each species' stabilizer, + is the cation sign,
+        and pinned cation rows are identity rows of A with their values in
+        c.
 
-        Returns (A_p, b_p, A_n, b_n), each A a CSR matrix on the mesh's P1
+        Returns (A_p, c_p, A_n, c_n), each A a CSR matrix on the mesh's P1
         pattern.
         """
         asm, cfg, k = self.asm, self.config, self.k
         mesh, K, fns = asm.mesh, asm.stiffness, asm.fns
         a_p = compute_alpha(p, cfg.q, mesh, asm.stencil)
         a_n = compute_alpha(n, cfg.q, mesh, asm.stencil)
-        b_p, b_n = self._b_old
         if cfg.algorithm == 1:
             G = assemble_drift(mesh, phi)
             Bp = build_stabilizer_alg1(+1, k, a_p, mesh, asm.mass, K, G)
             Bn = build_stabilizer_alg1(-1, k, a_n, mesh, asm.mass, K, G)
             A_p = self._A_base + G.data + Bp.values
             A_n = self._A_base - G.data + Bn.values
+            c_p, c_n = np.zeros(mesh.num_nodes), np.zeros(mesh.num_nodes)
         else:
             # the potential's edge drive, shared by both species
             s = (phi[mesh.edge_j] - phi[mesh.edge_i]) * self._kij
             species = []
-            for sign, x, alpha, b in ((+1, p, a_p, b_p), (-1, n, a_n, b_n)):
+            for sign, x, alpha in ((+1, p, a_p), (-1, n, a_n)):
                 e = Alg2Edges(x, s, self._kij, fns, mesh)
                 B = build_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh,
                                           edges=e)
                 T, Tx = upwind_transport(sign, e)
                 v = star_transport_vector(x, phi, fns, K, mesh, edges=e)
                 species.append((self._A_base + B.values + sign * T,
-                                b - sign * (v - Tx)))
-            (A_p, b_p), (A_n, b_n) = species
+                                -sign * (v - Tx)))
+            (A_p, c_p), (A_n, c_n) = species
         if asm.p_fixed.size:
             A_p = asm.pin_p_rows(A_p)
-            b_p = b_p.copy()
-            b_p[asm.p_fixed] = asm.p_fixed_values
-        return mesh.csr(A_p), b_p, mesh.csr(A_n), b_n
+            c_p[asm.p_fixed] = asm.p_fixed_values
+        return mesh.csr(A_p), c_p, mesh.csr(A_n), c_n
 
-    def residual_parts(self, p, n):
-        """(phi, r, systems) at the iterate (p, n): the potential phi is
-        recomputed from p - n, ``systems`` are built at (p, n, phi), and r is
-        their self-consistent residual A(z) z - b(z), which vanishes only at
-        a true fixed point of the step."""
-        phi = self.asm.poisson.solve(p - n)
-        A_p, b_p, A_n, b_n = systems = self.systems(p, n, phi)
-        return phi, _stack(A_p @ p - b_p, A_n @ n - b_n), systems
+    def systems(self, part):
+        """(A_p, b_p, A_n, b_n): the density systems of the iterate part
+        ``part`` and this step's b_old."""
+        A_p, c_p, A_n, c_n = part
+        b_p, b_n = self._b_old
+        return A_p, b_p + c_p, A_n, b_n + c_n
 
-    def linearized_solve(self, systems):
-        """One block sweep: the stacked solutions of exactly ``systems``,
-        as ``residual_parts`` returned them at the iterate swept from."""
+    def residual_parts(self, p, n, carried=None):
+        """(phi, r, systems, part) at the iterate (p, n): the potential phi
+        is recomputed from p - n, the iterate ``part`` is built at (p, n,
+        phi), and r is the self-consistent residual A(z) z - b(z) of its
+        ``systems``, which vanishes only at a true fixed point of the step.
+        A (phi, part) pair built at this same iterate, such as the previous
+        step's last, is passed as ``carried`` and taken as given: then only
+        b and r are built."""
+        if carried is None:
+            phi = self.asm.poisson.solve(p - n)
+            carried = phi, self.iterate_part(p, n, phi)
+        phi, part = carried
+        A_p, b_p, A_n, b_n = systems = self.systems(part)
+        return phi, _stack(A_p @ p - b_p, A_n @ n - b_n), systems, part
+
+    def linearized_solve(self, systems, z, r):
+        """One block sweep from the iterate z: the stacked solutions of
+        exactly ``systems``, as ``residual_parts`` returned them at z with
+        their residual r.  Each density solve starts from z's values of its
+        species, with the matching half of r as its start's residual."""
         A_p, b_p, A_n, b_n = systems
+        n_nodes = self.asm.mesh.num_nodes
+        (p, n), (r_p, r_n) = _unstack(z, n_nodes), _unstack(r, n_nodes)
         lu_p, lu_n = self.asm.density_factors
-        return _stack(lu_p.solve(A_p, b_p), lu_n.solve(A_n, b_n))
+        return _stack(lu_p.solve(A_p, b_p, p, r_p),
+                      lu_n.solve(A_n, b_n, n, r_n))
 
 
-def _picard_step(state, config, asm, bounds=None):
+def _picard_step(state, config, asm, bounds=None, carry=None):
     """One implicit step: the Picard loop from ``state``.
 
-    Each iterate z is held with the residual norm, potential and systems
-    of one ``residual_parts`` call at z; the sweep G(z) solves those
-    systems.  Each iteration's trial is the Anderson mix of the kept sweep
-    pairs (z, G(z)), or G(z) itself while one pair is kept.  It is taken if
-    it is ``_admissible`` and its residual is below the previous one or at
-    most ``picard_residual_tol``; otherwise the history restarts from the
-    latest pair and the iterate is z + ``RELAXATION`` (G(z) - z).
+    Each iterate z is held with the residual, potential, iterate part and
+    systems of one ``residual_parts`` call at z; the sweep G(z) solves those
+    systems, from z.  Each iteration's trial is the Anderson mix of the kept
+    sweep pairs (z, G(z)), or G(z) itself while one pair is kept.  It is
+    taken if it is ``_admissible`` and its residual is below the previous
+    one or at most ``picard_residual_tol``; otherwise the history restarts
+    from the latest pair and the iterate is z + ``RELAXATION`` (G(z) - z).
     ``bounds`` is the (lo, hi) range that the discrete maximum principle
     keeps the densities in, or None where it is not in force.
 
-    Returns (new_state, iterations, residual_history) once the residual is
-    at most ``picard_residual_tol``.  A loop that reaches
-    ``picard_max_iters`` raises ``StepError``, whose message names the last
-    and the smallest residual: a smallest residual at roundoff marks a
-    tolerance below the roundoff floor, a large one a map that diverges.
+    ``carry`` is what the previous step of the same run returned last: the
+    stacked iterate it ended on and the (phi, part) pair of its last
+    evaluation there.  The potential and iterate part depend on z alone, so
+    while ``state`` holds that iterate exactly, the first evaluation takes
+    them as given and builds only b and r; a start that differs, as after an
+    in-place edit of the state, is evaluated afresh.
+
+    Returns (new_state, iterations, residual_history, carry) once the
+    residual is at most ``picard_residual_tol``; the returned ``carry`` is
+    the next step's, with its own copies of the iterate and the potential.
+    A loop that reaches ``picard_max_iters`` raises ``StepError``, whose
+    message names the last and the smallest residual: a smallest residual
+    at roundoff marks a tolerance below the roundoff floor, a large one a
+    map that diverges.
     """
     ctx = _StepContext(state, config, asm)
     n_nodes = asm.mesh.num_nodes
 
-    def evaluated(z):
-        """(residual norm, phi, systems) at the iterate z."""
-        phi, r, systems = ctx.residual_parts(*_unstack(z, n_nodes))
-        return float(np.abs(r).max()), phi, systems
+    def evaluated(z, carried=None):
+        """(residual norm, r, systems, (phi, part)) at the iterate z."""
+        phi, r, systems, part = ctx.residual_parts(*_unstack(z, n_nodes),
+                                                   carried)
+        return float(np.abs(r).max()), r, systems, (phi, part)
 
     z = _stack(state.p, state.n)
-    res, phi, systems = evaluated(z)
+    carried = (carry[1] if carry is not None and np.array_equal(carry[0], z)
+               else None)
+    res, r, systems, built = evaluated(z, carried)
     history = [res]
 
     # The residual is not monotone along the fixed-point path, so a refused
@@ -536,40 +581,41 @@ def _picard_step(state, config, asm, bounds=None):
     # two-cycles of the undamped map.
     pairs = []
     for it in range(1, config.picard_max_iters + 1):
-        sweep = ctx.linearized_solve(systems)
+        sweep = ctx.linearized_solve(systems, z, r)
         pairs = pairs[-ANDERSON_DEPTH:] + [(z, sweep)]
         trial = _anderson_mix(pairs) if len(pairs) > 1 else sweep
         at = (evaluated(trial) if _admissible(trial, bounds)
-              else (np.inf, None, None))
+              else (np.inf, None, None, None))
         if not (at[0] < history[-1] or at[0] <= config.picard_residual_tol):
             pairs = pairs[-1:]
             trial = z + RELAXATION * (sweep - z)
             at = evaluated(trial)
-        z, (res, phi, systems) = trial, at
+        z, (res, r, systems, built) = trial, at
         history.append(res)
         if res <= config.picard_residual_tol:
+            phi, part = built
             new_state = State(*_unstack(z, n_nodes), phi, state.t + config.k)
-            return new_state, it, history
+            return new_state, it, history, (z.copy(), (phi.copy(), part))
     raise StepError(f"fixed-point loop failed at t={state.t + config.k:g}: "
                     f"residual {history[-1]:g} after {it} iterations, "
                     f"smallest {min(history):g}, picard_residual_tol "
                     f"{config.picard_residual_tol:g}", history)
 
 
-def picard_step_alg1(state, config, asm, bounds=None):
+def picard_step_alg1(state, config, asm, bounds=None, carry=None):
     """Advance one step with the consistent-mass, implicit-drift scheme; see
-    ``_picard_step`` for ``bounds`` and the returned tuple."""
+    ``_picard_step`` for ``bounds``, ``carry`` and the returned tuple."""
     if config.algorithm != 1:
         raise ValueError("config.algorithm must be 1")
-    return _picard_step(state, config, asm, bounds)
+    return _picard_step(state, config, asm, bounds, carry)
 
 
-def picard_step_alg2(state, config, asm, bounds=None):
+def picard_step_alg2(state, config, asm, bounds=None, carry=None):
     """Advance one step with the lumped-mass, edge-transport scheme; see
-    ``_picard_step`` for ``bounds`` and the returned tuple."""
+    ``_picard_step`` for ``bounds``, ``carry`` and the returned tuple."""
     if config.algorithm != 2:
         raise ValueError("config.algorithm must be 2")
-    return _picard_step(state, config, asm, bounds)
+    return _picard_step(state, config, asm, bounds, carry)
 
 
 class RunResult:
@@ -696,9 +742,11 @@ def run(scenario, on_step=None):
     prev_entropy = initial_report.entropy
     step = picard_step_alg1 if config.algorithm == 1 else picard_step_alg2
     dmp_bounds = (lo, hi) if in_force["dmp_ok"] else None
+    carry = None
     for m in range(1, nsteps + 1):
         try:
-            state, iters, _history = step(state, config, asm, dmp_bounds)
+            state, iters, _history, carry = step(state, config, asm,
+                                                 dmp_bounds, carry)
         except (StepError, LinearSolveError, ElectroneutralityError) as err:
             err.partial = RunResult(reports, initial_report, state, mesh, asm,
                                     (lo, hi), in_force)

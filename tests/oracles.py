@@ -9,7 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from pnpfem import mesh as meshmod
-from pnpfem.solver import _backward_error, _gate
+from pnpfem.solver import (
+    LAGGED_CORRECTIONS, LINEAR_TOL, _backward_error, _gate)
 from pnpfem.mesh import (
     BOTTOM, INTERIOR, MEMBRANE, OTHER_BOUNDARY, TOP, Mesh)
 
@@ -520,6 +521,39 @@ def direct_solve(plan, A, b):
     pattern, is factored afresh, solved once and gated."""
     x = plan.solve(plan.factor(A.data), b)
     return check_solve(A, x, b, "density")
+
+
+def cold_lagged_solve(lagged, A, b):
+    """``LaggedFactor.solve`` as it was before the warm start: every solve,
+    and every restart after a refactor, begins at LU^-1 b.  It keeps its
+    factor on ``lagged``, as the method does."""
+    plan, abs_A = lagged.plan, abs(A)
+    fresh = lagged.lu is None
+    if fresh:
+        lagged.lu = plan.factor(A.data)
+    x = plan.solve(lagged.lu, b)
+    err, r = _backward_error(A, abs_A, x, b)
+    corrections = 0
+    while not err <= LINEAR_TOL:
+        x_new = x + plan.solve(lagged.lu, r)
+        err_new, r_new = _backward_error(A, abs_A, x_new, b)
+        corrections += 1
+        rho = err_new / err
+        if rho < 1.0:
+            x, err, r = x_new, err_new, r_new
+            if err <= LINEAR_TOL:
+                break
+            if (corrections + np.log(LINEAR_TOL / err) / np.log(rho)
+                    <= LAGGED_CORRECTIONS):
+                continue
+        if fresh:
+            break
+        lagged.lu = None
+        lagged.lu = plan.factor(A.data)
+        fresh, corrections = True, 0
+        x = plan.solve(lagged.lu, b)
+        err, r = _backward_error(A, abs_A, x, b)
+    return _gate(x, err, "density")
 
 
 def loop_unit_square(n, offset=(-0.5, -0.5)):

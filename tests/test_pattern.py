@@ -276,7 +276,7 @@ def test_pinned_row_systems(algorithm):
     k = 0.01
     config = SolverConfig(algorithm=algorithm, k=k)
     ctx = _StepContext(State(p, n, phi, 0.0), config, asm)
-    A_p, b_p, A_n, b_n = ctx.systems(p, n, phi)
+    A_p, b_p, A_n, b_n = ctx.systems(ctx.iterate_part(p, n, phi))
 
     M, K = asm.mass, asm.stiffness
     a_p = compute_alpha(p, config.q, mesh, asm.stencil)
@@ -335,7 +335,7 @@ def test_residual_matches_term_by_term_oracle(algorithm, where):
     config = SolverConfig(algorithm=algorithm, k=0.01)
     ctx = _StepContext(State(p_old, n_old, np.zeros(mesh.num_nodes), 0.0),
                        config, asm)
-    phi, r, (A_p, b_p, A_n, b_n) = ctx.residual_parts(p, n)
+    phi, r, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(p, n)
     # the returned systems are the ones the residual was taken on
     assert np.array_equal(r, np.concatenate([A_p @ p - b_p, A_n @ n - b_n]))
 
@@ -367,7 +367,7 @@ def test_systems_wrap_only_drift_and_results(monkeypatch, algorithm, wrapped):
     csr = Mesh.csr
     monkeypatch.setattr(Mesh, "csr",
                         lambda self, data: calls.append(1) or csr(self, data))
-    A_p, _, A_n, _ = ctx.systems(p, n, phi)
+    A_p, _, A_n, _ = ctx.iterate_part(p, n, phi)
     assert len(calls) == wrapped
     for A in (A_p, A_n):
         assert A.format == "csr"

@@ -21,6 +21,7 @@ from pnpfem import (
     picard_step_alg2,
     run,
 )
+from pnpfem import diagnostics
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
 from pnpfem.mesh import BOTTOM, OTHER_BOUNDARY, TOP, Mesh
 from pnpfem.scenarios import (
@@ -175,7 +176,7 @@ class TestSteps:
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(0.5))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist = step(state, sc.config, asm)
+        new, iters, hist, _ = step(state, sc.config, asm)
         assert iters == 1 and hist[-1] <= sc.config.picard_residual_tol
         assert np.abs(new.p - 1.0).max() < 1e-12
         assert np.abs(new.n - 1.0).max() < 1e-12
@@ -190,7 +191,7 @@ class TestSteps:
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(EPSILON))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
-        new, iters, hist = step(state, sc.config, asm)
+        new, iters, hist, _ = step(state, sc.config, asm)
         assert hist[-1] <= 1e-6 and len(hist) == iters + 1
 
     @pytest.mark.parametrize("algorithm", [1, 2])
@@ -213,10 +214,10 @@ class TestSteps:
         p0, n0 = sc.initial_fields(mesh)
         asm = Assemblies(mesh, st, sc.bc, entropy_functions(1e-8))
         state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
-        new, iters, hist = picard_step_alg1(state, sc.config, asm)
+        new, iters, hist, _ = picard_step_alg1(state, sc.config, asm)
         from pnpfem.solver import _StepContext
         ctx = _StepContext(state, sc.config, asm)
-        phi, r, _ = ctx.residual_parts(new.p, new.n)
+        phi, r, *_ = ctx.residual_parts(new.p, new.n)
         assert np.abs(r).max() == pytest.approx(hist[-1], abs=1e-12)
         # the new state carries the potential of its own iterate
         assert np.array_equal(phi, new.phi)
@@ -346,8 +347,8 @@ class TestRun:
         import pnpfem.solver as solver
         systems, steps = solver._StepContext.systems, []
 
-        def with_zero_row(ctx, p, n, phi):
-            A_p, b_p, A_n, b_n = systems(ctx, p, n, phi)
+        def with_zero_row(ctx, part):
+            A_p, b_p, A_n, b_n = systems(ctx, part)
             if len(steps) > 2:
                 A_n.data[A_n.indptr[5]:A_n.indptr[6]] = 0.0
             return A_p, b_p, A_n, b_n
@@ -671,6 +672,24 @@ class Counted:
         return wrapper
 
 
+class CountedLU:
+    """A SuperLU factor whose triangular solves are counted."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def start_systems(ctx, state, phi=None):
+    """The density systems of ``ctx`` at the state's densities, with its
+    potential or ``phi``."""
+    return ctx.systems(ctx.iterate_part(
+        state.p, state.n, state.phi if phi is None else phi))
+
+
 def backward_error(A, x, b):
     return _backward_error(A, abs(A), x, b)[0]
 
@@ -682,8 +701,8 @@ class TestLaggedFactor:
         lagged = LaggedFactor(asm.solve_plan)
         kept = None
         for j in range(6):
-            A, b, _, _ = ctx.systems(state.p, state.n,
-                                     (1.0 + 0.02 * j) * state.phi)
+            A, b, _, _ = start_systems(ctx, state,
+                                       (1.0 + 0.02 * j) * state.phi)
             x = lagged.solve(A, b)
             assert oracles.check_solve(A, x, b, "density") is x
             # the corrections stop at LINEAR_TOL, not at the gate
@@ -696,10 +715,10 @@ class TestLaggedFactor:
     @pytest.mark.parametrize("far", ["opposite drift", "k x 100"])
     def test_far_matrix_refactors(self, far, monkeypatch):
         _, asm, ctx, state, _ = density_systems("square", 1)
-        A, b, A_n, b_n = ctx.systems(state.p, state.n, state.phi)
+        A, b, A_n, b_n = start_systems(ctx, state)
         if far == "k x 100":
             _, _, far_ctx, _, _ = density_systems("square", 1, k=0.1)
-            A_n, b_n, _, _ = far_ctx.systems(state.p, state.n, state.phi)
+            A_n, b_n, _, _ = start_systems(far_ctx, state)
         lagged = LaggedFactor(asm.solve_plan)
         lagged.solve(A, b)
         kept = lagged.lu
@@ -714,7 +733,7 @@ class TestLaggedFactor:
         # backward error: the first correction refactors, and the remaining
         # budget is not spent
         _, asm, ctx, state, _ = density_systems("square", 1)
-        A, b, _, _ = ctx.systems(state.p, state.n, state.phi)
+        A, b, _, _ = start_systems(ctx, state)
         lagged = LaggedFactor(asm.solve_plan)
         lagged.solve(A, b)
         counted = Counted(monkeypatch)
@@ -724,10 +743,59 @@ class TestLaggedFactor:
         assert (counted.factor, counted.solve) == (1, 3)
         assert backward_error(A3, x, b) <= LINEAR_TOL
 
+    def test_warm_start_that_does_not_contract_refactors(self, monkeypatch):
+        # the same solve for 3 A, started from A's solution x0: the kept
+        # factor's start is -x0 and its correction 3 x0, which the error
+        # refuses as well; the new factor restarts from x0
+        _, asm, ctx, state, _ = density_systems("square", 1)
+        A, b, _, _ = start_systems(ctx, state)
+        lagged = LaggedFactor(asm.solve_plan)
+        x0 = lagged.solve(A, b)
+        kept = lagged.lu
+        counted = Counted(monkeypatch)
+        A3 = 3.0 * A
+        x = lagged.solve(A3, b, x0, A3 @ x0 - b)
+        assert (counted.factor, counted.solve) == (1, 3)
+        assert lagged.lu is not kept
+        assert backward_error(A3, x, b) <= LINEAR_TOL
+
+    def test_start_at_the_solution_takes_no_correction(self):
+        # a kept factor of a nearby matrix, and the solve started from the
+        # solution itself: the start's own solve is the only one
+        _, asm, ctx, state, _ = density_systems("square", 1)
+        lagged = LaggedFactor(asm.solve_plan)
+        lagged.solve(*start_systems(ctx, state, 1.02 * state.phi)[:2])
+        A, b, _, _ = start_systems(ctx, state)
+        x0 = oracles.direct_solve(asm.solve_plan, A, b)
+        lagged.lu = counted = CountedLU(lagged.lu)
+        x = lagged.solve(A, b, x0, A @ x0 - b)
+        assert counted.solves == 1 and lagged.lu is counted
+        assert backward_error(A, x, b) <= LINEAR_TOL
+        # a start far from the solution takes corrections on the same factor
+        lagged.solve(A, b)
+        assert counted.solves > 2 and lagged.lu is counted
+
+    def test_default_start_is_the_cold_solve(self):
+        # from zero, x0 - LU^-1 (A x0 - b) = LU^-1 b bit for bit, since
+        # negation is exact: a sequence of solves that keeps, corrects and
+        # refactors gives the pre-warm-start answers and factors
+        _, asm, ctx, state, _ = density_systems("square", 1)
+        _, _, far_ctx, _, _ = density_systems("square", 1, k=0.1)
+        warm, cold = (LaggedFactor(asm.solve_plan) for _ in range(2))
+        systems = [start_systems(ctx, state, (1.0 + 0.05 * j) * state.phi)
+                   for j in range(4)] + [start_systems(far_ctx, state)]
+        factors = []
+        for A, b, _, _ in systems:
+            x = warm.solve(A, b)
+            assert np.array_equal(x, oracles.cold_lagged_solve(cold, A, b))
+            factors.append(warm.lu)
+        # kept over the nearby systems, refactored for the far one
+        assert [f is factors[0] for f in factors] == [True] * 4 + [False]
+
     @pytest.mark.parametrize("kept", [False, True])
     def test_singular_matrix_raises_with_or_without_kept_factor(self, kept):
         _, asm, ctx, state, _ = density_systems("square", 1)
-        A, b, _, _ = ctx.systems(state.p, state.n, state.phi)
+        A, b, _, _ = start_systems(ctx, state)
         lagged = LaggedFactor(asm.solve_plan)
         if kept:
             lagged.solve(A, b)
@@ -748,7 +816,7 @@ class TestLaggedFactor:
         step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
         state, *_ = step(state, sc.config, asm, bounds)
         lagged, lagged_iters, *_ = step(state, sc.config, asm, bounds)
-        monkeypatch.setattr(LaggedFactor, "solve", lambda self, A, b:
+        monkeypatch.setattr(LaggedFactor, "solve", lambda self, A, b, *start:
                             oracles.direct_solve(self.plan, A, b))
         direct, direct_iters, *_ = step(state, sc.config, asm, bounds)
         assert lagged_iters == direct_iters
@@ -763,9 +831,9 @@ class TestLaggedFactor:
         solves = []
         solve = LaggedFactor.solve
 
-        def counted_solve(self, A, b):
+        def counted_solve(self, *args):
             solves.append(1)
-            return solve(self, A, b)
+            return solve(self, *args)
 
         monkeypatch.setattr(LaggedFactor, "solve", counted_solve)
         result = run(smooth_scenario(1, k=1e-3, T=1e-2, n=16))
@@ -807,6 +875,103 @@ class TestCoefficientReuse:
         _, iters, *_ = step(state, sc.config, asm)
         assert calls["sweep"] == iters >= 2
         assert calls["alpha"] == 2 * calls["residual"]
+
+
+class TestCarry:
+    @pytest.mark.parametrize("where, algorithm", [
+        ("square", 1), ("channel", 2), ("channel", 1)])
+    def test_carried_evaluation_equals_a_fresh_one(self, where, algorithm):
+        # the smooth square under Alg. 1, channel_wave under Alg. 2 and the
+        # pinned cations of channel_selective under Alg. 1: after one step,
+        # the next step's evaluation from the carry equals a fresh one at
+        # the new state, array for array
+        sc, asm, _, state, bounds = density_systems(where, algorithm)
+        step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
+        new, _, _, (z, carried) = step(state, sc.config, asm, bounds)
+        assert np.array_equal(z, np.concatenate([new.p, new.n]))
+        assert np.array_equal(carried[0], new.phi)
+        assert carried[0] is not new.phi  # its own copy
+        ctx = _StepContext(new, sc.config, asm)
+        phi, r, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(new.p, new.n)
+        c_phi, c_r, (cA_p, cb_p, cA_n, cb_n), c_part = ctx.residual_parts(
+            new.p, new.n, carried)
+        assert c_part is carried[1]
+        for fresh, kept in ((phi, c_phi), (A_p.data, cA_p.data),
+                            (A_n.data, cA_n.data), (b_p, cb_p), (b_n, cb_n),
+                            (r, c_r)):
+            assert np.array_equal(fresh, kept)
+        if algorithm == 1 and where == "channel":
+            assert asm.p_fixed.size > 0
+            assert np.array_equal(cb_p[asm.p_fixed], asm.p_fixed_values)
+            assert np.array_equal(c_r[asm.p_fixed],
+                                  new.p[asm.p_fixed] - asm.p_fixed_values)
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_only_a_carried_start_skips_the_build(self, algorithm,
+                                                  monkeypatch):
+        # a step with no carry, a run's first, solves the potential and
+        # builds the iterate part at its start; a carried step only at its
+        # trials
+        import pnpfem.solver as solver
+        calls = {"potential": 0, "build": 0, "evaluation": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for key, owner, attr in (
+                ("potential", solver.PoissonSolver, "solve"),
+                ("build", solver._StepContext, "iterate_part"),
+                ("evaluation", solver._StepContext, "residual_parts")):
+            monkeypatch.setattr(owner, attr,
+                                counted(key, getattr(owner, attr)))
+        sc = smooth_scenario(algorithm)
+        asm, state, bounds = first_state(sc)
+        step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
+        for carried in (False, True):
+            calls.update(potential=0, build=0, evaluation=0)
+            state, _, _, carry = step(state, sc.config, asm, bounds,
+                                      carry if carried else None)
+            assert calls["evaluation"] >= 2
+            assert (calls["potential"] == calls["build"]
+                    == calls["evaluation"] - carried)
+
+    @pytest.mark.parametrize("name, algorithm", [
+        ("channel_selective", 1), ("channel_wave", 2)])
+    @pytest.mark.parametrize("edit", [False, True])
+    def test_run_equals_a_run_without_carries(self, name, algorithm, edit,
+                                              tmp_path, monkeypatch):
+        # a run's diagnostics are byte for byte those of a run whose steps
+        # never receive a carry, also when on_step scales state.p in place
+        # after step 2: the start of step 3 is then not the carried iterate
+        import pnpfem.solver as solver
+        sc = builtin_scenario(name, algorithm=algorithm)
+        sc.mesh_spec = ("channel", 0.5)
+        sc.config.T = 4 * sc.config.k
+
+        def on_step(m, state):
+            if edit and m == 2:
+                state.p *= 1.01
+
+        def diagnostics_and_state(path):
+            result = run(sc, on_step=on_step)
+            assert len(result.reports) == 4
+            diagnostics.write_csv(path, result.all_reports())
+            return path.read_bytes(), result.state
+
+        carried, carried_state = diagnostics_and_state(tmp_path / "a.csv")
+        step_name = f"picard_step_alg{algorithm}"
+        step = getattr(solver, step_name)
+        monkeypatch.setattr(solver, step_name,
+                            lambda state, config, asm, bounds, carry:
+                            step(state, config, asm, bounds))
+        fresh, fresh_state = diagnostics_and_state(tmp_path / "b.csv")
+        assert carried == fresh
+        for field in ("p", "n", "phi"):
+            assert np.array_equal(getattr(carried_state, field),
+                                  getattr(fresh_state, field))
 
 
 class TestAnderson:
@@ -851,16 +1016,16 @@ class TestAnderson:
         residual_parts = solver._StepContext.residual_parts
         linearized_solve = solver._StepContext.linearized_solve
 
-        def recorded_residual(ctx, p, n):
+        def recorded_residual(ctx, p, n, *carried):
             evaluated.append(p[0])
-            parts = residual_parts(ctx, p, n)
+            parts = residual_parts(ctx, p, n, *carried)
             built_at.append((parts[2], p))
             return parts
 
-        def recorded_sweep(ctx, systems):
+        def recorded_sweep(ctx, systems, *start):
             # the cation density of the iterate whose systems are solved
             swept.append(next(p for s, p in built_at if s is systems))
-            g = linearized_solve(ctx, systems)
+            g = linearized_solve(ctx, systems, *start)
             if poison == "sweep" and len(swept) == 1:
                 g[0] = lo - 1e-6
             return g
@@ -870,7 +1035,8 @@ class TestAnderson:
                             recorded_residual)
         monkeypatch.setattr(solver._StepContext, "linearized_solve",
                             recorded_sweep)
-        new, _, hist = picard_step_alg2(state, sc.config, asm, (lo, hi))
+        new, _, hist, _ = picard_step_alg2(state, sc.config, asm,
+                                           (lo, hi))
         assert sizes[:2] == ([2, 2] if poison is True else [2, 3])
         assert lo - 1e-6 not in evaluated
         if poison == "sweep":
@@ -903,9 +1069,9 @@ class TestAnderson:
         sc.config.T = 2 * sc.config.k
         residual_parts, calls = solver._StepContext.residual_parts, []
 
-        def counted(ctx, p, n):
+        def counted(ctx, *args):
             calls.append(None)
-            return residual_parts(ctx, p, n)
+            return residual_parts(ctx, *args)
 
         monkeypatch.setattr(solver._StepContext, "residual_parts", counted)
         result = run(sc)
@@ -925,9 +1091,9 @@ class TestAnderson:
         sc.config.T = 2 * sc.config.k
         step, seen = solver.picard_step_alg1, []
 
-        def recorded(state, config, asm, bounds):
+        def recorded(state, config, asm, bounds, carry):
             seen.append(bounds)
-            return step(state, config, asm, bounds)
+            return step(state, config, asm, bounds, carry)
 
         monkeypatch.setattr(solver, "picard_step_alg1", recorded)
         result = run(sc)

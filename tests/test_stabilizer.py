@@ -342,7 +342,7 @@ class TestUpwindTransport:
         phi = field * rng.normal(size=N)
         ctx = _StepContext(State(p_old, n_old, phi, 0.0),
                            SolverConfig(algorithm=2, k=k), asm)
-        A_p, b_p, A_n, b_n = ctx.systems(p, n, phi)
+        A_p, b_p, A_n, b_n = ctx.systems(ctx.iterate_part(p, n, phi))
         for sign, x in ((+1, p), (-1, n)):
             values, Tx = upwind_transport(
                 sign, Alg2Edges.of(x, phi, fns, K, mesh))
