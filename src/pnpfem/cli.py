@@ -94,8 +94,8 @@ def main(argv=None):
         return 2
 
     outdir = scenario.output_dir
-    k = scenario.config.k
-    snapshot_steps = {int(round(t / k)): t for t in scenario.snapshot_times}
+    snapshot_steps = {scenario.config.step_of(t): t
+                      for t in scenario.snapshot_times}
     mesh = scenario.make_mesh()
 
     def on_step(m, state):

@@ -206,20 +206,19 @@ class Mesh:
         return sp.csr_matrix(
             (data, self.pattern_indices, self.pattern_indptr), shape=(n, n))
 
-    def edge_entries(self, matrix, transposed=False):
-        """Entries (i, j) of a CSR matrix on this mesh's P1 pattern at the
-        unordered edges i < j, or (j, i) when ``transposed``.
-
-        Raises ``ValueError`` for any other matrix: the slot maps index its
-        ``data`` directly.
-        """
+    def pattern_values(self, matrix):
+        """The ``data`` of a CSR matrix on this mesh's P1 pattern, which the
+        slot maps index directly; any other matrix raises ``ValueError``."""
         if not (sp.issparse(matrix) and matrix.format == "csr"
                 and matrix.shape == (self.num_nodes, self.num_nodes)
                 and np.array_equal(matrix.indptr, self.pattern_indptr)
                 and np.array_equal(matrix.indices, self.pattern_indices)):
             raise ValueError("matrix is not stored on the mesh's P1 pattern")
-        slots = self.edge_slots_t if transposed else self.edge_slots
-        return matrix.data[slots]
+        return matrix.data
+
+    def edge_entries(self, matrix):
+        """``pattern_values`` at the unordered edges i < j: entries (i, j)."""
+        return self.pattern_values(matrix)[self.edge_slots]
 
     def nodes_with_tag(self, tag):
         """Indices of all nodes carrying the given boundary tag."""

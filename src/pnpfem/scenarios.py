@@ -63,13 +63,6 @@ def wave_n0(x, y):
     return -np.tanh(10.0 * y - 0.8) + 1.0
 
 
-def _fits(t, config):
-    """True when t lies in [0, T] and is a whole number of time steps k, to
-    1e-9 relative."""
-    m = t / config.k
-    return 0 <= t <= config.T and abs(m - round(m)) <= 1e-9 * max(m, 1.0)
-
-
 class Scenario:
     """A full problem description consumed by ``solver.run``.
 
@@ -106,7 +99,7 @@ class Scenario:
         self.output_dir = output_dir
         self.snapshot_times = tuple(_real("snapshots", t, "real")
                                     for t in snapshot_times)
-        bad = [t for t in self.snapshot_times if not _fits(t, config)]
+        bad = [t for t in self.snapshot_times if config.step_of(t) is None]
         if bad:
             raise ValueError(f"snapshot times {bad} must lie in [0, "
                              f"T={config.T}] on the grid of time steps "
@@ -274,7 +267,8 @@ def scenario_from_config(raw, source):
             config,
             output_dir=raw.get("output_dir", base.output_dir),
             snapshot_times=raw.get("snapshots", [
-                t for t in base.snapshot_times if _fits(t, config)]),
+                t for t in base.snapshot_times
+                if config.step_of(t) is not None]),
         )
     except ValueError as err:
         raise ConfigError(f"{source}: {err}") from err

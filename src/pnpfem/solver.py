@@ -115,6 +115,21 @@ class SolverConfig:
                                          picard_residual_tol)
         self.picard_max_iters = _whole("picard_max_iters", picard_max_iters)
 
+    @property
+    def nsteps(self):
+        """The steps of a run: all that end by T, to 1e-9 relative and at
+        most half a step, the tolerance of ``step_of``."""
+        m = self.T / self.k
+        return int(np.floor(m + min(1e-9 * max(m, 1.0), 0.5)))
+
+    def step_of(self, t):
+        """The step of a run that ends at time t, 0 at its start, or None
+        when t is off the step grid, to 1e-9 relative, or past the last."""
+        m = t / self.k
+        step = round(m)
+        on_grid = abs(m - step) <= 1e-9 * max(m, 1.0)
+        return step if on_grid and 0 <= step <= self.nsteps else None
+
 
 def _tag_values(name, values):
     """A boundary tag -> value dict with float values; a non-dict or a value
@@ -289,33 +304,30 @@ class LaggedFactor:
         if x0 is None:
             x0, r0 = 0.0, -b
         plan, abs_A = self.plan, abs(A)
-        fresh = self.lu is None
-        if fresh:
-            self.lu = plan.factor(A.data)
-        x = x0 - plan.solve(self.lu, r0)
-        err, r = _backward_error(A, abs_A, x, b)
-        corrections = 0
-        while not err <= LINEAR_TOL:
-            x_new = x + plan.solve(self.lu, r)
-            err_new, r_new = _backward_error(A, abs_A, x_new, b)
-            corrections += 1
-            rho = err_new / err
-            if rho < 1.0:
-                x, err, r = x_new, err_new, r_new
-                if err <= LINEAR_TOL:
-                    break
-                # the corrections in all if each contracts by rho
-                if (corrections + np.log(LINEAR_TOL / err) / np.log(rho)
-                        <= LAGGED_CORRECTIONS):
-                    continue
+        while True:
+            fresh = self.lu is None
             if fresh:
-                break
-            self.lu = None
-            self.lu = plan.factor(A.data)
-            fresh, corrections = True, 0
+                self.lu = plan.factor(A.data)
             x = x0 - plan.solve(self.lu, r0)
             err, r = _backward_error(A, abs_A, x, b)
-        return _gate(x, err, "density")
+            corrections = 0
+            while not err <= LINEAR_TOL:
+                x_new = x + plan.solve(self.lu, r)
+                err_new, r_new = _backward_error(A, abs_A, x_new, b)
+                corrections += 1
+                rho = err_new / err
+                if rho < 1.0:
+                    x, err, r = x_new, err_new, r_new
+                    # the corrections in all if each contracts by rho
+                    if (err <= LINEAR_TOL or corrections + np.log(
+                            LINEAR_TOL / err) / np.log(rho)
+                            <= LAGGED_CORRECTIONS):
+                        continue
+                break
+            if fresh or err <= LINEAR_TOL:
+                return _gate(x, err, "density")
+            # the kept factor goes before the current matrix is factored
+            self.lu = None
 
 
 class PoissonSolver:
@@ -427,11 +439,10 @@ def _unstack(z, n_nodes):
 class _StepContext:
     """One time step's per-iterate systems A(z) z = b(z), z = (p, n).
 
-    ``iterate_part`` and ``systems`` are the only description of either
-    scheme.  A and the part c of b = b_old + c depend on the iterate, b_old
-    only on the step's start.  The residual is A(z) z - b(z) of the systems
-    built at z, which ``residual_parts`` returns with it, and a sweep from z
-    solves exactly those systems.
+    ``iterate_part`` and ``residual_parts`` are the only description of
+    either scheme: A and the part c of b = b_old + c depend on the iterate,
+    b_old only on the step's start, and a sweep from z solves exactly the
+    systems whose residual ``residual_parts`` returned at z.
     """
 
     def __init__(self, state, config, asm):
@@ -498,27 +509,21 @@ class _StepContext:
             c_p[asm.p_fixed] = asm.p_fixed_values
         return mesh.csr(A_p), c_p, mesh.csr(A_n), c_n
 
-    def systems(self, part):
-        """(A_p, b_p, A_n, b_n): the density systems of the iterate part
-        ``part`` and this step's b_old."""
-        A_p, c_p, A_n, c_n = part
-        b_p, b_n = self._b_old
-        return A_p, b_p + c_p, A_n, b_n + c_n
+    def residual_parts(self, z, built=None):
+        """(res, r, systems, built) at the stacked iterate z = (p, n).
 
-    def residual_parts(self, p, n, carried=None):
-        """(phi, r, systems, part) at the iterate (p, n): the potential phi
-        is recomputed from p - n, the iterate ``part`` is built at (p, n,
-        phi), and r is the self-consistent residual A(z) z - b(z) of its
-        ``systems``, which vanishes only at a true fixed point of the step.
-        A (phi, part) pair built at this same iterate, such as the previous
-        step's last, is passed as ``carried`` and taken as given: then only
-        b and r are built."""
-        if carried is None:
+        ``built`` is (phi, part): phi solved from p - n and ``iterate_part``
+        at (p, n, phi), or the ``built`` of this same iterate when one is
+        given, as a carry is.  ``systems`` is (A_p, b_p, A_n, b_n), and r =
+        A(z) z - b(z), with max norm res, vanishes only at a fixed point."""
+        p, n = _unstack(z, self.asm.mesh.num_nodes)
+        if built is None:
             phi = self.asm.poisson.solve(p - n)
-            carried = phi, self.iterate_part(p, n, phi)
-        phi, part = carried
-        A_p, b_p, A_n, b_n = systems = self.systems(part)
-        return phi, _stack(A_p @ p - b_p, A_n @ n - b_n), systems, part
+            built = phi, self.iterate_part(p, n, phi)
+        A_p, c_p, A_n, c_n = built[1]
+        b_p, b_n = self._b_old[0] + c_p, self._b_old[1] + c_n
+        r = _stack(A_p @ p - b_p, A_n @ n - b_n)
+        return float(np.abs(r).max()), r, (A_p, b_p, A_n, b_n), built
 
     def linearized_solve(self, systems, z, r):
         """One block sweep from the iterate z: the stacked solutions of
@@ -562,18 +567,10 @@ def _picard_step(state, config, asm, bounds=None, carry=None):
     map that diverges.
     """
     ctx = _StepContext(state, config, asm)
-    n_nodes = asm.mesh.num_nodes
-
-    def evaluated(z, carried=None):
-        """(residual norm, r, systems, (phi, part)) at the iterate z."""
-        phi, r, systems, part = ctx.residual_parts(*_unstack(z, n_nodes),
-                                                   carried)
-        return float(np.abs(r).max()), r, systems, (phi, part)
-
     z = _stack(state.p, state.n)
     carried = (carry[1] if carry is not None and np.array_equal(carry[0], z)
                else None)
-    res, r, systems, built = evaluated(z, carried)
+    res, r, systems, built = ctx.residual_parts(z, carried)
     history = [res]
 
     # The residual is not monotone along the fixed-point path, so a refused
@@ -584,17 +581,18 @@ def _picard_step(state, config, asm, bounds=None, carry=None):
         sweep = ctx.linearized_solve(systems, z, r)
         pairs = pairs[-ANDERSON_DEPTH:] + [(z, sweep)]
         trial = _anderson_mix(pairs) if len(pairs) > 1 else sweep
-        at = (evaluated(trial) if _admissible(trial, bounds)
+        at = (ctx.residual_parts(trial) if _admissible(trial, bounds)
               else (np.inf, None, None, None))
         if not (at[0] < history[-1] or at[0] <= config.picard_residual_tol):
             pairs = pairs[-1:]
             trial = z + RELAXATION * (sweep - z)
-            at = evaluated(trial)
+            at = ctx.residual_parts(trial)
         z, (res, r, systems, built) = trial, at
         history.append(res)
         if res <= config.picard_residual_tol:
             phi, part = built
-            new_state = State(*_unstack(z, n_nodes), phi, state.t + config.k)
+            new_state = State(*_unstack(z, asm.mesh.num_nodes), phi,
+                              state.t + config.k)
             return new_state, it, history, (z.copy(), (phi.copy(), part))
     raise StepError(f"fixed-point loop failed at t={state.t + config.k:g}: "
                     f"residual {history[-1]:g} after {it} iterations, "
@@ -737,13 +735,12 @@ def run(scenario, on_step=None):
     if on_step is not None:
         on_step(0, state)
 
-    nsteps = int(np.floor(config.T / config.k + 1e-9))
     reports = []
     prev_entropy = initial_report.entropy
     step = picard_step_alg1 if config.algorithm == 1 else picard_step_alg2
     dmp_bounds = (lo, hi) if in_force["dmp_ok"] else None
     carry = None
-    for m in range(1, nsteps + 1):
+    for m in range(1, config.nsteps + 1):
         try:
             state, iters, _history, carry = step(state, config, asm,
                                                  dmp_bounds, carry)

@@ -92,19 +92,19 @@ def build_stabilizer_alg1(sign, timestep, alpha, mesh, mass, stiffness, drift):
     """Graph-Laplacian stabilizer with matrix-coupling edge weights.
 
     Edge (i, j) gets weight max(alpha_i f_ij, alpha_j f_ji, 0) where
-    f_ij = M_ij/k + K_ij + sign G_ij is the system coupling seen by the
-    cation (+1) or anion (-1) equation; the diagonal accumulates the
-    incident weights.  ``alpha`` and ``drift`` must come from the same
-    transported field and potential.
+    f_ij = M_ij/k + K_ij + sign G_ij is the entry of the cation (+1) or
+    anion (-1) system, in the march's arithmetic, so that alpha = 1 cancels
+    it exactly where it is positive; the diagonal accumulates the incident
+    weights.  ``alpha`` and ``drift`` must come from the same transported
+    field and potential.
     """
     if timestep <= 0:
         raise ValueError(f"timestep must be positive, got {timestep}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    base = mesh.edge_entries(mass) / timestep + mesh.edge_entries(stiffness)
-    f_ij = base + sign * mesh.edge_entries(drift)
-    f_ji = base + sign * mesh.edge_entries(drift, transposed=True)
-    return _stabilizer(alpha, f_ij, f_ji, mesh)
+    F = (mesh.pattern_values(mass) * (1.0 / timestep)
+         + mesh.pattern_values(stiffness) + sign * mesh.pattern_values(drift))
+    return _stabilizer(alpha, F[mesh.edge_slots], F[mesh.edge_slots_t], mesh)
 
 
 class Alg2Edges:

@@ -276,7 +276,8 @@ def test_pinned_row_systems(algorithm):
     k = 0.01
     config = SolverConfig(algorithm=algorithm, k=k)
     ctx = _StepContext(State(p, n, phi, 0.0), config, asm)
-    A_p, b_p, A_n, b_n = ctx.systems(ctx.iterate_part(p, n, phi))
+    _, _, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(
+        np.concatenate([p, n]), (phi, ctx.iterate_part(p, n, phi)))
 
     M, K = asm.mass, asm.stiffness
     a_p = compute_alpha(p, config.q, mesh, asm.stencil)
@@ -335,7 +336,8 @@ def test_residual_matches_term_by_term_oracle(algorithm, where):
     config = SolverConfig(algorithm=algorithm, k=0.01)
     ctx = _StepContext(State(p_old, n_old, np.zeros(mesh.num_nodes), 0.0),
                        config, asm)
-    phi, r, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(p, n)
+    _, r, (A_p, b_p, A_n, b_n), (phi, _) = ctx.residual_parts(
+        np.concatenate([p, n]))
     # the returned systems are the ones the residual was taken on
     assert np.array_equal(r, np.concatenate([A_p @ p - b_p, A_n @ n - b_n]))
 

@@ -72,6 +72,47 @@ class TestBuiltinScenarios:
                      BoundarySpec(), SolverConfig(T=0.5),
                      snapshot_times=(0.7,))
 
+    @pytest.mark.parametrize("name, steps", [
+        ("smooth", 500), ("channel_uniform", 100), ("channel_wave", 100),
+        ("channel_selective", 1000)])
+    def test_step_counts(self, name, steps):
+        for algorithm in (1, 2):
+            config = builtin_scenario(name, algorithm=algorithm).config
+            assert config.nsteps == config.step_of(config.T) == steps
+
+
+class TestStepCount:
+    # T / k a few ulps off a whole number is on the step grid, and counts
+    # its last step; a T between grid points counts the steps that end by T
+    @pytest.mark.parametrize("T, k, steps", [
+        (0.2999999998, 0.1, 3), (0.3, 0.1, 3), (0.3000000002, 0.1, 3),
+        (0.25, 0.1, 2), (0.0, 0.1, 0), (5e-10, 1.0, 0), (0.005, 1e-3, 5),
+        (0.02, 0.015, 1), (1e9, 1.0, 10**9)])
+    def test_nsteps(self, T, k, steps):
+        assert SolverConfig(k=k, T=T).nsteps == steps
+
+    @pytest.mark.parametrize("t, step", [
+        (0.2999999998, 3), (0.0, 0), (0.1, 1), (0.15, None), (-0.1, None),
+        (0.4, None), (0.3000000002, 3)])
+    def test_step_of(self, t, step):
+        assert SolverConfig(k=0.1, T=0.3).step_of(t) == step
+
+    def test_the_run_the_check_and_the_snapshots_share_it(self, tmp_path):
+        # T lies a few ulps of k below three steps; the snapshot at T was
+        # accepted, but the run stopped after two steps and never wrote it
+        out = tmp_path / "out"
+        payload = {"scenario": "smooth", "mesh": {"n": 4}, "k": 0.1,
+                   "T": 0.2999999998, "snapshots": [0.1, 0.2999999998],
+                   "output_dir": str(out)}
+        assert scenario_from_config(payload, "test").config.nsteps == 3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["--config", str(path)]) == 0
+        assert sorted(p.name for p in out.glob("*.vtk")) == [
+            "snapshot_t0.1.vtk", "snapshot_t0.3.vtk"]
+        rows = diagnostics.read_csv(out / "diagnostics.csv")
+        assert len(rows) == 1 + 3
+
 
 def _scenario(mesh_spec=("square", 4), mode="nodal", **kwargs):
     return Scenario("x", mesh_spec, (lambda x, y: x, lambda x, y: x, mode),

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpfem import (
     Assemblies,
@@ -23,7 +25,7 @@ from pnpfem import (
 )
 from pnpfem import diagnostics
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
-from pnpfem.mesh import BOTTOM, OTHER_BOUNDARY, TOP, Mesh
+from pnpfem.mesh import BOTTOM, INTERIOR, OTHER_BOUNDARY, TOP, Mesh
 from pnpfem.scenarios import (
     builtin_scenario, scenario_from_config, smooth_n0, smooth_p0)
 from pnpfem.solver import (
@@ -194,6 +196,31 @@ class TestSteps:
         new, iters, hist, _ = step(state, sc.config, asm)
         assert hist[-1] <= 1e-6 and len(hist) == iters + 1
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 12), jitter=st.floats(0.0, 0.35),
+           seed=st.integers(0, 2**32 - 1), drop=st.floats(0.0, 10.0))
+    def test_alg1_step_conserves_masses_on_jittered_delaunay(self, n, jitter,
+                                                             seed, drop):
+        # the potential at -drop on the bottom side and drop on the top
+        base = oracles.jittered_delaunay_mesh(n, jitter, seed)
+        y = base.nodes[:, 1]
+        tags = np.select([~base.boundary_mask, y == 0.0, y == 1.0],
+                         [INTERIOR, BOTTOM, TOP], OTHER_BOUNDARY)
+        mesh = Mesh(base.nodes, base.elements, tags)
+        asm = Assemblies(mesh, build_sym_stencils(mesh),
+                         BoundarySpec(phi_dirichlet={BOTTOM: -drop,
+                                                     TOP: drop}),
+                         entropy_functions(EPSILON))
+        rng = np.random.default_rng(seed)
+        (cp, cn), xy = rng.uniform(0.2, 0.8, size=(2, 2)), mesh.nodes
+        p0 = 1.0 + 0.5 * np.exp(-30.0 * ((xy - cp) ** 2).sum(axis=1))
+        n0 = 1.0 + 0.5 * np.exp(-30.0 * ((xy - cn) ** 2).sum(axis=1))
+        state = State(p0, n0, asm.poisson.solve(p0 - n0), 0.0)
+        new, *_ = picard_step_alg1(state, SolverConfig(algorithm=1, k=1e-3),
+                                   asm)
+        assert asm.d @ new.p == pytest.approx(asm.d @ p0, rel=1e-11)
+        assert asm.d @ new.n == pytest.approx(asm.d @ n0, rel=1e-11)
+
     @pytest.mark.parametrize("algorithm", [1, 2])
     def test_mass_preserved_by_one_step(self, algorithm):
         sc = smooth_scenario(algorithm)
@@ -217,8 +244,10 @@ class TestSteps:
         new, iters, hist, _ = picard_step_alg1(state, sc.config, asm)
         from pnpfem.solver import _StepContext
         ctx = _StepContext(state, sc.config, asm)
-        phi, r, *_ = ctx.residual_parts(new.p, new.n)
-        assert np.abs(r).max() == pytest.approx(hist[-1], abs=1e-12)
+        res, r, _, (phi, _) = ctx.residual_parts(
+            np.concatenate([new.p, new.n]))
+        assert res == np.abs(r).max()
+        assert res == pytest.approx(hist[-1], abs=1e-12)
         # the new state carries the potential of its own iterate
         assert np.array_equal(phi, new.phi)
 
@@ -345,15 +374,17 @@ class TestRun:
         # from step 3 on, the anion system has a zero row: a real singular
         # matrix reaches the factorization
         import pnpfem.solver as solver
-        systems, steps = solver._StepContext.systems, []
+        residual_parts, steps = solver._StepContext.residual_parts, []
 
-        def with_zero_row(ctx, part):
-            A_p, b_p, A_n, b_n = systems(ctx, part)
+        def with_zero_row(ctx, z, built=None):
+            res, r, systems, built = residual_parts(ctx, z, built)
             if len(steps) > 2:
+                A_n = systems[2]
                 A_n.data[A_n.indptr[5]:A_n.indptr[6]] = 0.0
-            return A_p, b_p, A_n, b_n
+            return res, r, systems, built
 
-        monkeypatch.setattr(solver._StepContext, "systems", with_zero_row)
+        monkeypatch.setattr(solver._StepContext, "residual_parts",
+                            with_zero_row)
         sc = uniform_scenario(1, k=0.01, T=0.05)
         with pytest.raises(LinearSolveError, match="singular") as err:
             run(sc, on_step=lambda m, s: steps.append(m))
@@ -686,8 +717,10 @@ class CountedLU:
 def start_systems(ctx, state, phi=None):
     """The density systems of ``ctx`` at the state's densities, with its
     potential or ``phi``."""
-    return ctx.systems(ctx.iterate_part(
-        state.p, state.n, state.phi if phi is None else phi))
+    phi = state.phi if phi is None else phi
+    part = ctx.iterate_part(state.p, state.n, phi)
+    z = np.concatenate([state.p, state.n])
+    return ctx.residual_parts(z, (phi, part))[2]
 
 
 def backward_error(A, x, b):
@@ -892,11 +925,12 @@ class TestCarry:
         assert np.array_equal(carried[0], new.phi)
         assert carried[0] is not new.phi  # its own copy
         ctx = _StepContext(new, sc.config, asm)
-        phi, r, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(new.p, new.n)
-        c_phi, c_r, (cA_p, cb_p, cA_n, cb_n), c_part = ctx.residual_parts(
-            new.p, new.n, carried)
-        assert c_part is carried[1]
-        for fresh, kept in ((phi, c_phi), (A_p.data, cA_p.data),
+        res, r, (A_p, b_p, A_n, b_n), (phi, _) = ctx.residual_parts(z)
+        c_res, c_r, (cA_p, cb_p, cA_n, cb_n), c_built = ctx.residual_parts(
+            z, carried)
+        assert c_built is carried
+        assert res == c_res
+        for fresh, kept in ((phi, carried[0]), (A_p.data, cA_p.data),
                             (A_n.data, cA_n.data), (b_p, cb_p), (b_n, cb_n),
                             (r, c_r)):
             assert np.array_equal(fresh, kept)
@@ -1003,7 +1037,7 @@ class TestAnderson:
         sc = smooth_scenario(2)
         asm, state, (lo, hi) = first_state(sc)
         mix, sizes, evaluated, swept = solver._anderson_mix, [], [], []
-        built_at = []  # (systems, p) of each residual evaluation
+        built_at = []  # (systems, z) of each residual evaluation
 
         def recorded_mix(pairs):
             sizes.append(len(pairs))
@@ -1016,15 +1050,15 @@ class TestAnderson:
         residual_parts = solver._StepContext.residual_parts
         linearized_solve = solver._StepContext.linearized_solve
 
-        def recorded_residual(ctx, p, n, *carried):
-            evaluated.append(p[0])
-            parts = residual_parts(ctx, p, n, *carried)
-            built_at.append((parts[2], p))
+        def recorded_residual(ctx, z, *carried):
+            evaluated.append(z[0])
+            parts = residual_parts(ctx, z, *carried)
+            built_at.append((parts[2], z))
             return parts
 
         def recorded_sweep(ctx, systems, *start):
-            # the cation density of the iterate whose systems are solved
-            swept.append(next(p for s, p in built_at if s is systems))
+            # the iterate whose systems are solved
+            swept.append(next(z for s, z in built_at if s is systems))
             g = linearized_solve(ctx, systems, *start)
             if poison == "sweep" and len(swept) == 1:
                 g[0] = lo - 1e-6

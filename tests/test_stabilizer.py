@@ -9,6 +9,8 @@ from pnpfem import (
     SolverConfig,
     State,
     assemble_drift,
+    assemble_mass,
+    assemble_stiffness,
     build_stabilizer_alg1,
     build_stabilizer_alg2,
     build_sym_stencils,
@@ -342,7 +344,8 @@ class TestUpwindTransport:
         phi = field * rng.normal(size=N)
         ctx = _StepContext(State(p_old, n_old, phi, 0.0),
                            SolverConfig(algorithm=2, k=k), asm)
-        A_p, b_p, A_n, b_n = ctx.systems(ctx.iterate_part(p, n, phi))
+        _, _, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(
+            np.concatenate([p, n]), (phi, ctx.iterate_part(p, n, phi)))
         for sign, x in ((+1, p), (-1, n)):
             values, Tx = upwind_transport(
                 sign, Alg2Edges.of(x, phi, fns, K, mesh))
@@ -377,3 +380,95 @@ class TestUpwindTransport:
         for sign in (0, 2):
             with pytest.raises(ValueError):
                 upwind_transport(sign, edges)
+
+
+class TestSaturatedAlg1Systems:
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("k", [1e-3, 1e-2])
+    def test_no_positive_off_diagonal_where_alpha_is_one(self, seed, k,
+                                                         monkeypatch):
+        """With the detector saturated at 1 on every node, Alg. 1's A_p and
+        A_n have no positive off-diagonal entry, with no tolerance: the
+        builder's couplings f_ij and f_ji are the unstabilized systems' own
+        entries, bit for bit (the M-matrix property behind the DMP:
+        Barrenechea, John & Knobloch, SIAM J. Numer. Anal. 54, 2016)."""
+        import pnpfem.solver as solver
+        import pnpfem.stabilizer as stabilizer
+        mesh = oracles.jittered_delaunay_mesh(12, 0.3, seed)
+        asm = Assemblies(mesh, build_sym_stencils(mesh), BoundarySpec(),
+                         entropy_functions(1e-8))
+        N = mesh.num_nodes
+        rng = np.random.default_rng(seed)
+        p, n = rng.uniform(0.5, 2.0, size=(2, N))
+        phi = 10.0 * rng.normal(size=N)
+        ctx = _StepContext(State(p, n, phi, 0.0),
+                           SolverConfig(algorithm=1, k=k), asm)
+        # alpha = 0 leaves the systems unstabilized
+        monkeypatch.setattr(solver, "compute_alpha",
+                            lambda x, *args: np.zeros(N))
+        bare_p, _, bare_n, _ = ctx.iterate_part(p, n, phi)
+        couplings, build = [], stabilizer._stabilizer
+
+        def recorded(alpha, f_ij, f_ji, mesh):
+            couplings.append((f_ij, f_ji))
+            return build(alpha, f_ij, f_ji, mesh)
+
+        monkeypatch.setattr(stabilizer, "_stabilizer", recorded)
+        monkeypatch.setattr(solver, "compute_alpha",
+                            lambda x, *args: np.ones(N))
+        A_p, _, A_n, _ = ctx.iterate_part(p, n, phi)
+        assert len(couplings) == 2
+        for A, bare, (f_ij, f_ji) in zip((A_p, A_n), (bare_p, bare_n),
+                                         couplings):
+            assert np.array_equal(f_ij, bare.data[mesh.edge_slots])
+            assert np.array_equal(f_ji, bare.data[mesh.edge_slots_t])
+            assert max(f_ij.max(), f_ji.max()) > 0.0
+            off = A.data.copy()
+            off[mesh.diag_slots] = 0.0
+            assert off.max() <= 0.0
+
+
+class TestJitteredDelaunayProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 12), jitter=st.floats(0.0, 0.35),
+           seed=st.integers(0, 2**32 - 1), q=st.floats(0.5, 4.0))
+    def test_detector_in_unit_interval(self, n, jitter, seed, q):
+        mesh = oracles.jittered_delaunay_mesh(n, jitter, seed)
+        stencil = build_sym_stencils(mesh)
+        rng = np.random.default_rng(seed)
+        x, y = mesh.nodes.T
+        for field in (rng.uniform(0.0, 3.0, size=mesh.num_nodes),
+                      np.tanh(10.0 * (x + y - 1.0)),
+                      np.where(rng.random(mesh.num_nodes) < 0.2, 1.0, 0.0)):
+            alpha = compute_alpha(field, q, mesh, stencil)
+            assert alpha.min() >= 0.0 and alpha.max() <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 12), jitter=st.floats(0.0, 0.35),
+           seed=st.integers(0, 2**32 - 1), k=st.floats(1e-3, 1.0),
+           field=st.floats(0.1, 100.0))
+    def test_stabilizers_are_graph_laplacians(self, n, jitter, seed, k,
+                                              field):
+        """Both schemes' stabilizers, for either sign, are symmetric, have
+        zero row sums and nonnegative weights, and are positive
+        semidefinite."""
+        mesh = oracles.jittered_delaunay_mesh(n, jitter, seed)
+        stencil = build_sym_stencils(mesh)
+        rng = np.random.default_rng(seed)
+        N = mesh.num_nodes
+        x = rng.uniform(0.01, 3.0, size=N)
+        phi = field * rng.normal(size=N)
+        alpha = compute_alpha(x, 2.0, mesh, stencil)
+        M, K = assemble_mass(mesh), assemble_stiffness(mesh)
+        G = assemble_drift(mesh, phi)
+        fns = entropy_functions(1e-8)
+        for sign in (+1, -1):
+            for B in (build_stabilizer_alg1(sign, k, alpha, mesh, M, K, G),
+                      build_stabilizer_alg2(sign, x, phi, alpha, fns, K,
+                                            mesh)):
+                A = B.matrix.toarray()
+                scale = np.abs(A).sum(axis=1).max()
+                assert np.all(B.weights >= 0.0)
+                assert np.array_equal(A, A.T)
+                assert np.abs(A.sum(axis=1)).max() <= 1e-13 * scale
+                assert np.linalg.eigvalsh(A).min() >= -1e-12 * scale
