@@ -60,28 +60,23 @@ def _write_outputs(outdir, result):
     csv_path = os.path.join(outdir, "diagnostics.csv")
     diagnostics.write_csv(csv_path, reports)
 
+    # (file, title, ((series label, report column), ...)) per chart
+    charts = (
+        ("mass.svg", "Total mass",
+         (("mass p", "mass_p"), ("mass n", "mass_n"))),
+        ("energy.svg", "Electrostatic energy", (("energy", "energy_es"),)),
+        ("entropy.svg", "Entropy and dissipation",
+         (("entropy", "entropy"), ("dissipation", "dissipation"))),
+        ("extrema.svg", "Density extrema",
+         (("max p", "max_p"), ("min p", "min_p"), ("max n", "max_n"),
+          ("min n", "min_n"))),
+    )
     ts = [r.t for r in reports]
-    svgplot.write_line_chart(
-        os.path.join(outdir, "mass.svg"), "Total mass", "t",
-        [("mass p", ts, [r.mass_p for r in reports]),
-         ("mass n", ts, [r.mass_n for r in reports])],
-    )
-    svgplot.write_line_chart(
-        os.path.join(outdir, "energy.svg"), "Electrostatic energy", "t",
-        [("energy", ts, [r.energy_es for r in reports])],
-    )
-    svgplot.write_line_chart(
-        os.path.join(outdir, "entropy.svg"), "Entropy and dissipation", "t",
-        [("entropy", ts, [r.entropy for r in reports]),
-         ("dissipation", ts, [r.dissipation for r in reports])],
-    )
-    svgplot.write_line_chart(
-        os.path.join(outdir, "extrema.svg"), "Density extrema", "t",
-        [("max p", ts, [r.max_p for r in reports]),
-         ("min p", ts, [r.min_p for r in reports]),
-         ("max n", ts, [r.max_n for r in reports]),
-         ("min n", ts, [r.min_n for r in reports])],
-    )
+    for name, title, series in charts:
+        svgplot.write_line_chart(
+            os.path.join(outdir, name), title, "t",
+            [(label, ts, [getattr(r, column) for r in reports])
+             for label, column in series])
     return csv_path
 
 

@@ -9,6 +9,8 @@ data make the jumps cancel and drive it to 0.
 
 import numpy as np
 
+from .mesh import _real
+
 DENOMINATOR_TOL = 1e-14
 
 
@@ -30,8 +32,7 @@ def compute_alpha(x, q, mesh, stencil):
     -------
     (N,) array of values in [0, 1].
     """
-    if q <= 0:
-        raise ValueError(f"detector exponent q must be positive, got {q}")
+    q = _real("q", q)
     # per directed pair (i, j), the slopes s1 = (x_j - x_i)/r through j and
     # s2 = (x_sym - x_i)/r_sym through its symmetric point: jump_ij = s1 + s2
     # and 2 mean_ij = |s1| + |s2|

@@ -89,7 +89,7 @@ def dissipation_Dh(rho, phi, stiffness, mesh):
     drho = rj - ri
     dlog = np.log(rj) - np.log(ri)
     dphi = phi[ej] - phi[ei]
-    kij = mesh.edge_entries(stiffness)
+    kij = mesh.pattern_values(stiffness)[mesh.edge_slots]
     # pairs whose log difference underflows behave as equal-valued pairs
     distinct = (drho != 0.0) & (dlog != 0.0)
     s = np.where(distinct, dlog, 1.0) / np.where(distinct, drho, 1.0)

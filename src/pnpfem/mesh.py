@@ -6,6 +6,7 @@ stencil records, for every directed neighbor pair (i, j), the point where the
 ray from node j through node i leaves the star of i.
 """
 
+import collections
 import numbers
 
 import numpy as np
@@ -216,10 +217,6 @@ class Mesh:
             raise ValueError("matrix is not stored on the mesh's P1 pattern")
         return matrix.data
 
-    def edge_entries(self, matrix):
-        """``pattern_values`` at the unordered edges i < j: entries (i, j)."""
-        return self.pattern_values(matrix)[self.edge_slots]
-
     def nodes_with_tag(self, tag):
         """Indices of all nodes carrying the given boundary tag."""
         return np.flatnonzero(self.boundary_tags == tag)
@@ -238,6 +235,18 @@ def _whole(name, value, minimum=1):
         raise ValueError(f"{name!r} must be a whole number of at least "
                          f"{minimum}, got {value!r}")
     return int(value)
+
+
+def _real(name, value, kind="positive"):
+    """``value`` as a finite float that is, by ``kind``, positive,
+    nonnegative or any real; a bool or a non-number is refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value)
+            or kind == "positive" and value <= 0
+            or kind == "nonnegative" and value < 0):
+        raise ValueError(f"{name!r} must be a finite {kind} number, got "
+                         f"{value!r}")
+    return float(value)
 
 
 def _split_cells(ci, cj, vid, short_diagonal=False):
@@ -294,7 +303,7 @@ def build_channel(cell):
     cell : float
         Grid spacing; must divide 0.5 so the corners land on grid points.
     """
-    m = 0.5 / cell
+    m = 0.5 / _real("cell", cell)
     mi = int(round(m))
     if mi < 1 or abs(m - mi) > 1e-9 * m:
         raise ValueError(f"cell={cell!r} does not divide the geometry unit 0.5")
@@ -333,10 +342,10 @@ def build_equilateral_strip(nx, ny, side=1.0):
     nx, ny : int
         Cells along the base and the height; whole numbers >= 1.
     side : float
-        Triangle side length.
+        Triangle side length; must be positive.
     """
     nx, ny = _whole("nx", nx), _whole("ny", ny)
-    a = float(side)
+    a = _real("side", side)
     gi, gj = np.divmod(np.arange((nx + 1) * (ny + 1)), ny + 1)
     nodes = np.column_stack([gi * a + 0.5 * a * gj,
                              gj * (a * np.sqrt(3.0) / 2.0)])
@@ -481,19 +490,9 @@ def build_sym_stencils(mesh):
     )
 
 
-class AcutenessReport:
-    """Result of the strict-acuteness check of an assembled stiffness matrix."""
-
-    def __init__(self, is_acute, c_ang, worst_pair):
-        self.is_acute = is_acute
-        self.c_ang = c_ang
-        self.worst_pair = worst_pair
-
-    def __repr__(self):
-        return (
-            f"AcutenessReport(is_acute={self.is_acute}, c_ang={self.c_ang:g}, "
-            f"worst_pair={self.worst_pair})"
-        )
+# the result of the strict-acuteness check of an assembled stiffness matrix
+AcutenessReport = collections.namedtuple(
+    "AcutenessReport", ("is_acute", "c_ang", "worst_pair"))
 
 
 def check_acuteness(mesh, stiffness):
@@ -502,7 +501,7 @@ def check_acuteness(mesh, stiffness):
     The mesh is strictly acute when (grad phi_i, grad phi_j) <= -c for every
     adjacent pair i != j; the report carries c (from the worst pair).
     """
-    vals = mesh.edge_entries(stiffness)
+    vals = mesh.pattern_values(stiffness)[mesh.edge_slots]
     worst = int(np.argmax(vals))
     worst_pair = (int(mesh.edge_i[worst]), int(mesh.edge_j[worst]))
     max_entry = float(vals[worst])

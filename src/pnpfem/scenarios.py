@@ -22,8 +22,8 @@ import numpy as np
 
 from . import mesh as meshmod
 from .fespace import averaged_interpolate, nodal_interpolate
-from .mesh import _whole
-from .solver import BoundarySpec, SolverConfig, _real
+from .mesh import _real, _whole
+from .solver import BoundarySpec, SolverConfig
 
 BUILTIN_NAMES = ("smooth", "channel_uniform", "channel_wave", "channel_selective")
 

@@ -13,7 +13,6 @@ enters the sweep as an upwind matrix on the new iterate, with the rest of
 the term lagged, so that both schemes' matrices carry their drift.
 """
 
-import numbers
 import warnings
 
 import numpy as np
@@ -36,7 +35,7 @@ from .stabilizer import (
     upwind_transport,
 )
 from . import diagnostics, mesh as meshmod
-from .mesh import _whole
+from .mesh import _real, _whole
 
 # the regularization threshold of the entropy derivative, below which dg is
 # linear, for every run
@@ -83,18 +82,6 @@ class State:
         for name in ("p", "n", "phi"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite values in state field {name}")
-
-
-def _real(name, value, kind="positive"):
-    """``value`` as a finite float that is, by ``kind``, positive,
-    nonnegative or any real; a bool or a non-number is refused."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not np.isfinite(value)
-            or kind == "positive" and value <= 0
-            or kind == "nonnegative" and value < 0):
-        raise ValueError(f"{name!r} must be a finite {kind} number, got "
-                         f"{value!r}")
-    return float(value)
 
 
 class SolverConfig:
@@ -460,7 +447,7 @@ class _StepContext:
             self._A_base = K.copy()
             self._A_base[asm.mesh.diag_slots] += asm.d * (1.0 / k)
             self._b_old = (asm.d * state.p / k, asm.d * state.n / k)
-            self._kij = asm.mesh.edge_entries(asm.stiffness)
+            self._kij = K[asm.mesh.edge_slots]
         # a pinned cation row takes its value from c alone
         self._b_old[0][asm.p_fixed] = 0.0
 
@@ -735,7 +722,8 @@ def run(scenario, on_step=None):
     if on_step is not None:
         on_step(0, state)
 
-    reports = []
+    result = RunResult([], initial_report, state, mesh, asm, (lo, hi),
+                       in_force)
     prev_entropy = initial_report.entropy
     step = picard_step_alg1 if config.algorithm == 1 else picard_step_alg2
     dmp_bounds = (lo, hi) if in_force["dmp_ok"] else None
@@ -745,14 +733,13 @@ def run(scenario, on_step=None):
             state, iters, _history, carry = step(state, config, asm,
                                                  dmp_bounds, carry)
         except (StepError, LinearSolveError, ElectroneutralityError) as err:
-            err.partial = RunResult(reports, initial_report, state, mesh, asm,
-                                    (lo, hi), in_force)
+            err.partial = result
             raise
         rep = _make_report(state, asm, (lo, hi), mass0, prev_entropy, iters,
                            smallness_ok)
         prev_entropy = rep.entropy
-        reports.append(rep)
+        result.reports.append(rep)
+        result.state = state
         if on_step is not None:
             on_step(m, state)
-    return RunResult(reports, initial_report, state, mesh, asm, (lo, hi),
-                     in_force)
+    return result

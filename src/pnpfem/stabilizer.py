@@ -9,6 +9,8 @@ secants for the second.
 
 import numpy as np
 
+from .mesh import _real
+
 
 class EntropyFunctions:
     """Entropy density x log x - x + 1 and the derivative of its quadratic
@@ -21,9 +23,7 @@ class EntropyFunctions:
     """
 
     def __init__(self, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.epsilon = float(epsilon)
+        self.epsilon = _real("epsilon", epsilon)
         self._log_eps = np.log(self.epsilon)
 
     def dg(self, s):
@@ -98,8 +98,7 @@ def build_stabilizer_alg1(sign, timestep, alpha, mesh, mass, stiffness, drift):
     weights.  ``alpha`` and ``drift`` must come from the same transported
     field and potential.
     """
-    if timestep <= 0:
-        raise ValueError(f"timestep must be positive, got {timestep}")
+    timestep = _real("timestep", timestep)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     F = (mesh.pattern_values(mass) * (1.0 / timestep)
@@ -137,7 +136,7 @@ class Alg2Edges:
     def of(cls, x, phi, fns, stiffness, mesh):
         """The edge quantities of x under phi, from the stiffness matrix."""
         phi = np.asarray(phi, dtype=float)
-        kij = mesh.edge_entries(stiffness)
+        kij = mesh.pattern_values(stiffness)[mesh.edge_slots]
         return cls(x, (phi[mesh.edge_j] - phi[mesh.edge_i]) * kij, kij, fns,
                    mesh)
 

@@ -128,5 +128,6 @@ class TestAlpha:
 
     def test_rejects_nonpositive_q(self, grid):
         mesh, st = grid
-        with pytest.raises(ValueError):
-            compute_alpha(np.zeros(mesh.num_nodes), 0.0, mesh, st)
+        for q in (0.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="'q'"):
+                compute_alpha(np.zeros(mesh.num_nodes), q, mesh, st)

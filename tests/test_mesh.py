@@ -103,8 +103,11 @@ class TestChannel:
             assert 1.5 - 1e-12 <= m.nodes[i, 1] <= 5.5 + 1e-12
 
     def test_rejects_bad_cell(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cell"):
             build_channel(0.3)
+        for cell in (0, float("nan"), -0.5):
+            with pytest.raises(ValueError, match="'cell'"):
+                build_channel(cell)
 
 
 MESH_FIELDS = ("nodes", "elements", "boundary_tags")
@@ -362,6 +365,11 @@ class TestMeshValidation:
         tags[4] = BOTTOM
         with pytest.raises(ValueError, match="node 4 is tagged 'bottom'"):
             Mesh(m.nodes, m.elements, tags)
+
+    @pytest.mark.parametrize("side", [0, -1.0, np.nan, True])
+    def test_equilateral_strip_rejects_bad_side(self, side):
+        with pytest.raises(ValueError, match="'side'"):
+            build_equilateral_strip(1, 1, side=side)
 
     def test_equilateral_strip_area(self):
         m = build_equilateral_strip(4, 4, side=0.25)

@@ -152,13 +152,13 @@ def test_pattern_arrays_are_shared_read_only(case):
 def test_matrix_off_the_pattern_rejected(case):
     mesh, M, K = case["mesh"], case["M"], case["K"]
     with pytest.raises(ValueError, match="pattern"):
-        mesh.edge_entries(M.tocoo())
+        mesh.pattern_values(M.tocoo())
     pruned = K.copy()
     pruned.data[mesh.edge_slots[0]] = 0.0
     pruned.eliminate_zeros()
     with pytest.raises(ValueError, match="pattern"):
-        mesh.edge_entries(pruned)
-    assert np.array_equal(mesh.edge_entries(K),
+        mesh.pattern_values(pruned)
+    assert np.array_equal(mesh.pattern_values(K)[mesh.edge_slots],
                           np.asarray(K[mesh.edge_i, mesh.edge_j]).ravel())
 
 

@@ -385,6 +385,25 @@ class TestCli:
         csv_lines = (out / "diagnostics.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + 1 + 3  # header + initial + steps
 
+    def test_charts_carry_title_and_series_labels(self, tmp_path):
+        assert cli_main(["--config", self._neutral_config(tmp_path)]) == 0
+        charts = {
+            "mass.svg": ("Total mass", "mass p", "mass n"),
+            "energy.svg": ("Electrostatic energy", "energy"),
+            "entropy.svg": ("Entropy and dissipation", "entropy",
+                            "dissipation"),
+            "extrema.svg": ("Density extrema", "max p", "min p", "max n",
+                            "min n"),
+        }
+        svg = "{http://www.w3.org/2000/svg}"
+        for name, (title, *labels) in charts.items():
+            root = ET.parse(tmp_path / "out" / name).getroot()
+            texts = [e.text for e in root.iter(svg + "text")]
+            assert title in texts, name
+            for label in labels:
+                assert label in texts, (name, label)
+            assert len(list(root.iter(svg + "polyline"))) == len(labels), name
+
     def test_deterministic_csv(self, tmp_path):
         cfg = self._neutral_config(tmp_path)
         out = tmp_path / "out"

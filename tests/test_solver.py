@@ -389,6 +389,8 @@ class TestRun:
         with pytest.raises(LinearSolveError, match="singular") as err:
             run(sc, on_step=lambda m, s: steps.append(m))
         assert len(err.value.partial.reports) == 2
+        # the partial result ends at the last accepted step
+        assert err.value.partial.state.t == pytest.approx(0.02, rel=1e-12)
 
     def test_singular_potential_system_raises_linear_solve_error(self):
         # two disconnected triangles under pure Neumann data: grounding

@@ -71,8 +71,9 @@ class TestEntropyFunctions:
         assert d2g0(4.0) == pytest.approx(0.25)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            entropy_functions(0.0)
+        for epsilon in (0.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="'epsilon'"):
+                entropy_functions(epsilon)
 
 
 class TestPairFluxesAlg1:
@@ -165,6 +166,9 @@ class TestStabilizerAlg1:
         for sign, k in ((+1, 0.0), (-1, -0.5), (0, 0.01), (2, 0.01)):
             with pytest.raises(ValueError):
                 build_stabilizer_alg1(sign, k, alpha, mesh, M, K, G)
+        for k in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="'timestep'"):
+                build_stabilizer_alg1(+1, k, alpha, mesh, M, K, G)
 
     def test_extremum_activates_incident_edges(self, square8,
                                                square8_stencil, square8_ops):
