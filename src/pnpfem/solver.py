@@ -9,8 +9,10 @@ A step either meets its residual tolerance or raises ``StepError``.
 Algorithm 1 uses the consistent mass matrix, an implicit drift matrix and
 matrix-coupling stabilization; algorithm 2 uses the lumped mass, the
 edge-based transport term and entropy-secant stabilization.  Its transport
-enters the sweep as an upwind matrix on the new iterate, with the rest of
-the term lagged, so that both schemes' matrices carry their drift.
+enters the sweep as a matrix on the new iterate, with the rest of the term
+lagged, so that both schemes' matrices carry their drift; the matrix takes
+the largest step from the upwind one toward the transport's Jacobian that
+keeps the system's off-diagonals nonpositive.
 """
 
 import warnings
@@ -32,7 +34,7 @@ from .stabilizer import (
     build_stabilizer_alg2,
     entropy_functions,
     star_transport_vector,
-    upwind_transport,
+    transport_matrix,
 )
 from . import diagnostics, mesh as meshmod
 from .mesh import _real, _whole
@@ -457,12 +459,15 @@ class _StepContext:
 
         Algorithm 1: A = M/k + K +- G + B, with the drift G of phi, and
         c = 0; b_old = M x_old / k.  Algorithm 2: A = D/k + K + B +- T and
-        c = -+ r, where the edge transport v(x, phi) is split into its
-        upwind matrix T(x, phi) and the lagged remainder r = v - T x, so
-        that A(z) z - b(z) is the scheme's residual with v in full; b_old =
-        D x_old / k.  B is each species' stabilizer, + is the cation sign,
-        and pinned cation rows are identity rows of A with their values in
-        c.
+        c = -+ r, where the edge transport v(x, phi) is split into a matrix
+        T(x, phi) and the lagged remainder r = v - T x, so that A(z) z -
+        b(z) is the scheme's residual with v in full; b_old = D x_old / k.
+        T steps from the upwind matrix toward the Jacobian of v as far as
+        the off-diagonals of K + B +- T stay nonpositive (or, where the
+        upwind one is positive, no larger), with the weights of B built
+        first (``transport_matrix``).  B is each species' stabilizer, + is
+        the cation sign, and pinned cation rows are identity rows of A with
+        their values in c.
 
         Returns (A_p, c_p, A_n, c_n), each A a CSR matrix on the mesh's P1
         pattern.
@@ -486,7 +491,7 @@ class _StepContext:
                 e = Alg2Edges(x, s, self._kij, fns, mesh)
                 B = build_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh,
                                           edges=e)
-                T, Tx = upwind_transport(sign, e)
+                T, Tx = transport_matrix(sign, e, B.weights)
                 v = star_transport_vector(x, phi, fns, K, mesh, edges=e)
                 species.append((self._A_base + B.values + sign * T,
                                 -sign * (v - Tx)))

@@ -108,15 +108,18 @@ def build_stabilizer_alg1(sign, timestep, alpha, mesh, mass, stiffness, drift):
 
 class Alg2Edges:
     """The per-edge quantities of one density x under a potential phi that
-    the Alg. 2 stabilizer, the transport and its upwind split share.
+    the Alg. 2 stabilizer, the transport and its matrix share.
 
     On the mesh's unordered edges i < j: ``kij`` = K_ij, the drive
-    ``s`` = (phi_j - phi_i) K_ij, the end values ``xi`` and ``xj``,
-    ``dx`` = x_j - x_i, ``ddg`` = dg(x_j) - dg(x_i), and ``distinct``, the
-    mask of pairs where both differ; pairs whose entropy-derivative
-    difference underflows are treated as equal-valued.  ``kij`` and ``s``
-    depend on the potential alone, so both species of one build can share
-    them.
+    ``s`` = (phi_j - phi_i) K_ij, the end values ``ends`` = (x_i, x_j)
+    as two rows and their floors ``floors`` = max(ends, epsilon), ``dx`` =
+    x_j - x_i, ``ddg`` = dg(x_j) - dg(x_i), and ``distinct``, the mask of
+    pairs where both differ; pairs whose entropy-derivative difference
+    underflows are treated as equal-valued.
+    On distinct pairs ``inv_ddg`` = 1 / ddg and the secant slope ``tau`` =
+    dx / ddg, the logarithmic mean above epsilon; elsewhere inv_ddg = 1 and
+    tau = max(x_i, epsilon).  ``kij`` and ``s`` depend on the potential
+    alone, so both species of one build can share them.
     """
 
     def __init__(self, x, s, kij, fns, mesh):
@@ -125,12 +128,17 @@ class Alg2Edges:
         self.kij = kij
         self.fns = fns
         self.mesh = mesh
-        dg = np.asarray(fns.dg(x))
-        ei, ej = mesh.edge_i, mesh.edge_j
-        self.xi, self.xj = x[ei], x[ej]
-        self.dx = self.xj - self.xi
-        self.ddg = dg[ej] - dg[ei]
+        shape = (2, mesh.edge_i.size)
+        self.ends = x[mesh.edge_ends].reshape(shape)
+        self.floors = np.maximum(self.ends, fns.epsilon)
+        dg = np.asarray(fns.dg(x))[mesh.edge_ends].reshape(shape)
+        self.dx = self.ends[1] - self.ends[0]
+        self.ddg = dg[1] - dg[0]
         self.distinct = (self.dx != 0.0) & (self.ddg != 0.0)
+        safe_ddg = np.where(self.distinct, self.ddg, 1.0)
+        self.inv_ddg = 1.0 / safe_ddg
+        self.tau = np.where(self.distinct, self.dx / safe_ddg,
+                            self.floors[0])
 
     @classmethod
     def of(cls, x, phi, fns, stiffness, mesh):
@@ -139,6 +147,11 @@ class Alg2Edges:
         kij = mesh.pattern_values(stiffness)[mesh.edge_slots]
         return cls(x, (phi[mesh.edge_j] - phi[mesh.edge_i]) * kij, kij, fns,
                    mesh)
+
+
+# the rows of an edge's two off-diagonal entries of a transport matrix
+_ROW_SIGNS = np.array([[1.0], [-1.0]])
+_TINY = np.finfo(float).tiny
 
 
 def _edge_sum(w, mesh):
@@ -160,12 +173,7 @@ def star_transport_vector(x, phi, fns, stiffness, mesh, edges=None):
     arguments, saves computing them again.
     """
     e = edges or Alg2Edges.of(x, phi, fns, stiffness, mesh)
-    tau = np.where(
-        e.distinct,
-        np.divide(e.dx, np.where(e.distinct, e.ddg, 1.0)),
-        np.maximum(e.xi, e.fns.epsilon),
-    )
-    return _edge_sum(tau * e.s, e.mesh)
+    return _edge_sum(e.tau * e.s, e.mesh)
 
 
 def star_transport(x, phi, xbar, fns, stiffness, mesh):
@@ -174,24 +182,53 @@ def star_transport(x, phi, xbar, fns, stiffness, mesh):
     return float(v @ np.asarray(xbar, dtype=float))
 
 
-def upwind_transport(sign, edges):
-    """(values, T x): the upwind transport matrix T of one species on the
-    mesh's P1 pattern, and its product with the species' density x.
+def transport_matrix(sign, edges, weights):
+    """(values, T x): the transport matrix T of one species on the mesh's
+    P1 pattern, and its product with the species' density x.
 
-    T carries the flow s_ij (theta x_i + (1 - theta) x_j) of each edge into
-    node i and out of node j, the transport's flow with the upwind value in
-    place of the secant mean (Scharfetter & Gummel, IEEE Trans. Electron
-    Devices 16, 1969).  theta = 1 where sign s_ij > 0, else 0, with sign +1
-    for the cation and -1 for the anion, so every off-diagonal entry of
-    sign T is nonpositive; every column of T sums to zero.
+    T replaces each edge's transport flow s tau(x_i, x_j), which enters
+    node i and leaves node j, by a linear flow c_i x_i + c_j x_j, so every
+    column of T sums to zero.  The coefficients c = up + lambda (jac - up)
+    step from the upwind ones, (s, 0) where sign s > 0 and (0, s) elsewhere
+    (Scharfetter & Gummel, IEEE Trans. Electron Devices 16, 1969), toward
+    the partials jac of s tau, the Jacobian of the logarithmic-mean flow
+    (Bessemoulin-Chatard, Numer. Math. 121, 2012); tau is 1-homogeneous
+    above epsilon, so at lambda = 1 the linear flow there is s tau itself.
+    The Jacobian puts an off-diagonal of the wrong sign on every driven
+    edge, so each edge's lambda in [0, 1] is the largest that keeps both
+    of its off-diagonals K_ij - w + sign T in the species' system at most
+    max(their upwind values, 0), with the stabilizer ``weights`` w on the
+    mesh's edges.  Each entry of sign T is clipped at -(K_ij - w), the
+    negated float that the system adds it to, so roundoff leaves no
+    positive off-diagonal.  ``edges`` are the species' ``Alg2Edges``; sign
+    is +1 for the cation and -1 for the anion.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    e, mesh = edges, edges.mesh
-    into_i = np.where(sign * e.s > 0.0, e.s, 0.0)  # s theta, x_i's factor
-    into_j = e.s - into_i                          # s (1 - theta), x_j's
-    return (_zero_column_sums(into_j, -into_i, mesh),
-            _edge_sum(into_i * e.xi + into_j * e.xj, mesh))
+    e = edges
+    # two rows per edge: the entries of sign T at (i, j), sign c_j, and at
+    # (j, i), -sign c_i; S holds sign s with each row's sign
+    S = e.s * (sign * _ROW_SIGNS)
+    # the partials of tau by x_j and by x_i, (1 - tau / max(x_j, eps)) / ddg
+    # and (tau / max(x_i, eps) - 1) / ddg; on equal ends 1/2 each above eps
+    # and 0 below
+    d = (1.0 - e.tau / e.floors[::-1]) * e.inv_ddg
+    d[1] *= -1.0
+    d = np.where(e.distinct, d, np.where(e.ends[0] > e.fns.epsilon, 0.5, 0.0))
+    up = np.minimum(S, 0.0)
+    # each entry's cap: -(K_ij - w), or its upwind value where that is larger
+    cap = np.maximum(weights - e.kij, up)
+    rise = S * d - up
+    # each row bounds lambda by room / rise where rise > room; adding the
+    # smallest normal float to both keeps out 0 / 0 on the edges where
+    # neither entry moves, without the slow arithmetic of a subnormal
+    room = cap - up + _TINY
+    ratio = room / np.maximum(rise + _TINY, room)
+    lam = np.minimum(ratio[0], ratio[1])
+    y = np.minimum(up + lam * rise, cap) * sign
+    flows = y * e.ends[::-1]
+    return (_zero_column_sums(y[0], y[1], e.mesh),
+            _edge_sum(flows[0] - flows[1], e.mesh))
 
 
 def build_stabilizer_alg2(sign, x, phi, alpha, fns, stiffness, mesh,
@@ -209,9 +246,6 @@ def build_stabilizer_alg2(sign, x, phi, alpha, fns, stiffness, mesh,
     e = edges or Alg2Edges.of(x, phi, fns, stiffness, mesh)
     distinct = e.distinct
     safe_dx = np.where(distinct, e.dx, 1.0)
-    inv_slope = 1.0 / np.where(distinct, e.ddg, 1.0)
-    f_ij, f_ji = (
-        np.where(distinct, e.kij + sign * e.s * (
-            inv_slope - np.maximum(x_end, e.fns.epsilon) / safe_dx), 0.0)
-        for x_end in (e.xi, e.xj))
+    f_ij, f_ji = np.where(distinct, e.kij + sign * e.s * (
+        e.inv_ddg - e.floors / safe_dx), 0.0)
     return _stabilizer(alpha, f_ij, f_ji, e.mesh)

@@ -448,28 +448,58 @@ def coo_star_transport_vector(x, phi, fns, stiffness, mesh):
     return v
 
 
-def loop_upwind_transport(sign, x, phi, stiffness, mesh):
-    """(T, T x): one species' upwind transport matrix, edge by edge from the
-    elements, and its product with x.  The flow s (theta x_i + (1 - theta)
-    x_j) of each edge i < j, with s = (phi_j - phi_i) K_ij, enters node i
-    and leaves node j; theta is 1 where sign s > 0, else 0."""
+def loop_transport_matrix(sign, x, phi, stabilizer, stiffness, fns, mesh):
+    """(T, T x, lam): one species' Alg. 2 transport matrix, edge by edge from
+    the elements, its product with x, and the step lam of each edge (i, j),
+    i < j, as a dict.
+
+    The flow c_i x_i + c_j x_j of each edge, with s = (phi_j - phi_i) K_ij,
+    enters node i and leaves node j.  c = up + lam (jac - up): the upwind
+    coefficients up are (s, 0) where sign s > 0, else (0, s); jac is s times
+    the partials of the secant slope tau, (tau / max(x_i, eps) - 1) / ddg
+    and (1 - tau / max(x_j, eps)) / ddg for distinct values, else 1/2 each
+    above eps and 0 below.  lam in [0, 1] is the largest that keeps both
+    off-diagonals of K + stabilizer + sign T at most max(their upwind
+    values, 0)."""
     n = mesh.num_nodes
-    K = stiffness.tolil()
+    K, B = stiffness.tolil(), stabilizer.tolil()
     T = sp.lil_matrix((n, n))
     Tx = np.zeros(n)
+    lam = {}
+    eps = fns.epsilon
     edges = {tuple(sorted((int(tri[a]), int(tri[(a + 1) % 3]))))
              for tri in mesh.elements for a in range(3)}
     for i, j in sorted(edges):
         s = (phi[j] - phi[i]) * K[i, j]
-        theta = 1.0 if sign * s > 0.0 else 0.0
-        T[i, i] += s * theta
-        T[i, j] += s * (1.0 - theta)
-        T[j, i] -= s * theta
-        T[j, j] -= s * (1.0 - theta)
-        flow = s * (theta * x[i] + (1.0 - theta) * x[j])
+        xi, xj = float(x[i]), float(x[j])
+        tau = secant_slope(i, j, x, fns)
+        ddg = float(fns.dg(xj) - fns.dg(xi))
+        if xj != xi and ddg != 0.0:
+            dtau = ((tau / max(xi, eps) - 1.0) / ddg,
+                    (1.0 - tau / max(xj, eps)) / ddg)
+        else:
+            dtau = (0.5, 0.5) if xi > eps else (0.0, 0.0)
+        up = (s, 0.0) if sign * s > 0.0 else (0.0, s)
+        jac = (s * dtau[0], s * dtau[1])
+        # the entries of sign T at (i, j) and (j, i), upwind and Jacobian,
+        # each added to the off-diagonal K_ij - w_ij of the system
+        off = K[i, j] + B[i, j]
+        step = 1.0
+        for at_up, at_jac in ((sign * up[1], sign * jac[1]),
+                              (-sign * up[0], -sign * jac[0])):
+            bound = max(off + at_up, 0.0)
+            if off + at_jac > bound:
+                step = min(step, (bound - off - at_up) / (at_jac - at_up))
+        c_i, c_j = (u + step * (v - u) for u, v in zip(up, jac))
+        T[i, i] += c_i
+        T[i, j] += c_j
+        T[j, i] -= c_i
+        T[j, j] -= c_j
+        flow = c_i * xi + c_j * xj
         Tx[i] += flow
         Tx[j] -= flow
-    return T.tocsr(), Tx
+        lam[(i, j)] = step
+    return T.tocsr(), Tx, lam
 
 
 def coo_pinned_rows(A, fixed):

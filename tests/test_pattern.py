@@ -290,16 +290,19 @@ def test_pinned_row_systems(algorithm):
         exp_p, exp_n = base + G + Bp, base - G + Bn
         exp_b_p, exp_b_n = M @ p / k, M @ n / k
     else:
-        # the upwind matrix T of each species' transport v is in A, and the
-        # remainder v - T x in b
+        # the transport matrix T of each species' transport v, stepped from
+        # the upwind one toward the Jacobian as far as the signs of A allow,
+        # is in A, and the remainder v - T x in b
         base = oracles.sp.diags(asm.d / k) + K
-        T_p, Tp_p = oracles.loop_upwind_transport(+1, p, phi, K, mesh)
-        T_n, Tn_n = oracles.loop_upwind_transport(-1, n, phi, K, mesh)
+        B_p = oracles.coo_stabilizer_alg2(+1, p, phi, a_p, fns, K, mesh)
+        B_n = oracles.coo_stabilizer_alg2(-1, n, phi, a_n, fns, K, mesh)
+        T_p, Tp_p, _ = oracles.loop_transport_matrix(+1, p, phi, B_p, K, fns,
+                                                     mesh)
+        T_n, Tn_n, _ = oracles.loop_transport_matrix(-1, n, phi, B_n, K, fns,
+                                                     mesh)
         assert min(abs(T_p).max(), abs(T_n).max()) > 0.0
-        exp_p = base + T_p + oracles.coo_stabilizer_alg2(
-            +1, p, phi, a_p, fns, K, mesh)
-        exp_n = base - T_n + oracles.coo_stabilizer_alg2(
-            -1, n, phi, a_n, fns, K, mesh)
+        exp_p = base + T_p + B_p
+        exp_n = base - T_n + B_n
         exp_b_p = asm.d * p / k - (oracles.coo_star_transport_vector(
             p, phi, fns, K, mesh) - Tp_p)
         exp_b_n = asm.d * n / k + (oracles.coo_star_transport_vector(

@@ -460,13 +460,13 @@ class TestCli:
     def test_divergent_step_exits_3_with_partial_outputs(self, tmp_path,
                                                          capsys):
         # channel_wave under Alg. 2 at k = 0.2 with the potential drop raised
-        # a hundredfold: the first step's Picard map diverges, so the run
-        # fails there and writes the initial row
+        # a thousandfold: the first step's Picard loop does not converge, so
+        # the run fails there and writes the initial row
         path = tmp_path / "divergent.json"
         path.write_text(json.dumps({
             "scenario": "channel_wave", "algorithm": 2,
             "mesh": {"cell": 0.25}, "k": 0.2, "T": 0.4,
-            "bc": {"phi_dirichlet": {"bottom": -5000, "top": 5000}},
+            "bc": {"phi_dirichlet": {"bottom": -50000, "top": 50000}},
             "output_dir": str(tmp_path / "out")}))
         assert cli_main(["--config", str(path)]) == 3
         err = capsys.readouterr().err

@@ -19,8 +19,9 @@ from pnpfem import (
     star_transport,
     star_transport_vector,
 )
-from pnpfem.solver import _StepContext
-from pnpfem.stabilizer import Alg2Edges, upwind_transport
+from pnpfem.scenarios import scenario_from_config
+from pnpfem.solver import _StepContext, run
+from pnpfem.stabilizer import Alg2Edges, transport_matrix
 
 import oracles
 from oracles import (d2g0, dg0, g, pair_fluxes_alg1, pair_fluxes_alg2,
@@ -335,10 +336,13 @@ class TestUpwindTransport:
            seed=st.integers(0, 2**32 - 1), field=st.floats(0.1, 100.0),
            k=st.floats(1e-3, 1.0))
     def test_split_on_jittered_delaunay(self, n, jitter, seed, field, k):
-        """+T_p and -T_n have nonpositive off-diagonals and zero column
-        sums, T x plus the remainder s (tau - upwind value) is the
-        transport, and the Alg. 2 residual is the one with the transport
-        all in b."""
+        """The transport matrix T of each species, stepped from the upwind
+        one toward the Jacobian: every off-diagonal of A is at most
+        max(the upwind split's, 0), with no tolerance, T's columns sum to
+        zero, T x plus the remainder is the transport, T is the edge-by-edge
+        oracle's, whose step lies in [0, 1], the remainder of an edge with
+        the whole step and both ends above epsilon vanishes to roundoff,
+        and the Alg. 2 residual is the one with the transport all in b."""
         mesh = oracles.jittered_delaunay_mesh(n, jitter, seed)
         fns = entropy_functions(1e-8)
         asm = Assemblies(mesh, build_sym_stencils(mesh), BoundarySpec(), fns)
@@ -350,27 +354,45 @@ class TestUpwindTransport:
                            SolverConfig(algorithm=2, k=k), asm)
         _, _, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(
             np.concatenate([p, n]), (phi, ctx.iterate_part(p, n, phi)))
-        for sign, x in ((+1, p), (-1, n)):
-            values, Tx = upwind_transport(
-                sign, Alg2Edges.of(x, phi, fns, K, mesh))
-            T = mesh.csr(values)
-            scale = abs(T).max()
-            off = sign * values
-            off[mesh.diag_slots] = 0.0
-            assert off.max() <= 0.0
-            assert np.abs(T.sum(axis=0)).max() <= 1e-13 * scale
-            assert np.abs(Tx - T @ x).max() <= 1e-13 * scale * x.max()
-            r = np.zeros(N)
-            for i, j in zip(mesh.edge_i, mesh.edge_j):
-                s = (phi[j] - phi[i]) * K[i, j]
-                upwind = x[i] if sign * s > 0.0 else x[j]
-                flow = s * (oracles.secant_slope(i, j, x, fns) - upwind)
-                r[i] += flow
-                r[j] -= flow
-            v = star_transport_vector(x, phi, fns, K, mesh)
-            assert np.abs(T @ x + r - v).max() <= 1e-12 * scale * x.max()
         a_p = compute_alpha(p, 2.0, mesh, asm.stencil)
         a_n = compute_alpha(n, 2.0, mesh, asm.stencil)
+        kij = K.data[mesh.edge_slots]
+        for sign, x, alpha, A in ((+1, p, a_p, A_p), (-1, n, a_n, A_n)):
+            edges = Alg2Edges.of(x, phi, fns, K, mesh)
+            B = build_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh,
+                                      edges=edges)
+            values, Tx = transport_matrix(sign, edges, B.weights)
+            T = mesh.csr(values)
+            scale = abs(T).max()
+            # the upwind split's entries of A at (i, j) and (j, i)
+            sig, off = sign * edges.s, kij - B.weights
+            upwind = (off + np.minimum(sig, 0.0), off + np.minimum(-sig, 0.0))
+            for slots, bound in zip((mesh.edge_slots, mesh.edge_slots_t),
+                                    upwind):
+                assert np.all(A.data[slots] <= np.maximum(bound, 0.0))
+                assert np.all(A.data[slots][kij <= 0.0] <= 0.0)
+            assert np.abs(T.sum(axis=0)).max() <= 1e-13 * scale
+            assert np.abs(Tx - T @ x).max() <= 1e-13 * scale * x.max()
+            T_loop, _, lam = oracles.loop_transport_matrix(
+                sign, x, phi, B.matrix, K, fns, mesh)
+            assert abs(T - T_loop).max() <= 1e-12 * scale
+            assert all(0.0 <= step <= 1.0 for step in lam.values())
+            # the remainder s tau - (c_i x_i + c_j x_j) of each edge
+            r = np.zeros(N)
+            for (i, j), step in lam.items():
+                s = (phi[j] - phi[i]) * K[i, j]
+                rest = (s * oracles.secant_slope(i, j, x, fns)
+                        - (-T[j, i] * x[i] + T[i, j] * x[j]))
+                r[i] += rest
+                r[j] -= rest
+                if step == 1.0 and min(x[i], x[j]) > fns.epsilon:
+                    # the partials lose digits as the ends draw together
+                    big = max(x[i], x[j])
+                    gap = abs(x[j] - x[i])
+                    conditioning = 1.0 + (big / gap if gap else 0.0)
+                    assert abs(rest) <= 1e-13 * abs(s) * big * conditioning
+            v = star_transport_vector(x, phi, fns, K, mesh)
+            assert np.abs(T @ x + r - v).max() <= 1e-12 * scale * x.max()
         (r_p, r_n), terms = oracles.coo_residual(
             2, k, mesh, fns, p_old, n_old, p, n, phi, a_p, a_n,
             asm.p_fixed, asm.p_fixed_values)
@@ -378,12 +400,46 @@ class TestUpwindTransport:
         scale = max(np.abs(t).max() for t in terms)
         assert np.abs(got - np.concatenate([r_p, r_n])).max() <= 1e-12 * scale
 
+    def test_wave_systems_keep_their_signs(self, monkeypatch):
+        """On the wave, channel_wave under Alg. 2 at cell 0.25, the step is
+        partial on some edges and whole on others at the start, and every
+        off-diagonal of every A_p and A_n that its first three steps build
+        is at most zero, with no tolerance."""
+        sc = scenario_from_config({
+            "scenario": "channel_wave", "algorithm": 2,
+            "mesh": {"cell": 0.25}, "k": 0.01, "T": 0.03}, "test")
+        mesh = sc.make_mesh()
+        fns = entropy_functions(1e-8)
+        asm = Assemblies(mesh, build_sym_stencils(mesh), sc.bc, fns)
+        p, n = sc.initial_fields(mesh)
+        phi = asm.poisson.solve(p - n)
+        K = asm.stiffness
+        for sign, x in ((+1, p), (-1, n)):
+            alpha = compute_alpha(x, sc.config.q, mesh, asm.stencil)
+            B = build_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh)
+            lam = oracles.loop_transport_matrix(sign, x, phi, B.matrix, K,
+                                                fns, mesh)[2]
+            assert min(lam.values()) < 0.5 and max(lam.values()) == 1.0
+        largest, build = [], _StepContext.iterate_part
+
+        def recorded(self, *args):
+            part = build(self, *args)
+            for A in part[::2]:
+                off = A.data.copy()
+                off[mesh.diag_slots] = -np.inf
+                largest.append(off.max())
+            return part
+
+        monkeypatch.setattr(_StepContext, "iterate_part", recorded)
+        assert len(run(sc).reports) == 3
+        assert len(largest) > 20 and max(largest) <= 0.0
+
     def test_rejects_bad_sign(self, square8, square8_ops, fns):
         x = np.ones(square8.num_nodes)
         edges = Alg2Edges.of(x, x, fns, square8_ops["stiffness"], square8)
         for sign in (0, 2):
             with pytest.raises(ValueError):
-                upwind_transport(sign, edges)
+                transport_matrix(sign, edges, np.zeros(square8.edge_i.size))
 
 
 class TestSaturatedAlg1Systems:
