@@ -121,10 +121,8 @@ def write_csv(path, reports):
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for rep in reports:
-            f.write(
-                ",".join(_format(c, v) for c, v in zip(CSV_COLUMNS, rep.row()))
-                + "\n"
-            )
+            f.write(",".join(_format(c, v)
+                             for c, v in zip(CSV_COLUMNS, rep.row())) + "\n")
 
 
 def read_csv(path):

@@ -11,6 +11,7 @@ import numbers
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 INTERIOR = "interior"
 BOTTOM = "bottom"
@@ -207,13 +208,30 @@ class Mesh:
         return sp.csr_matrix(
             (data, self.pattern_indices, self.pattern_indptr), shape=(n, n))
 
+    def matvec(self, values, x):
+        """A x for the values of A on the P1 pattern, by the compiled kernel
+        that ``csr(values) @ x`` runs, so the two agree bit for bit."""
+        n = self.num_nodes
+        if np.shape(values) != (self.pattern_nnz,) or np.shape(x) != (n,):
+            raise ValueError("matvec takes values on the P1 pattern and x")
+        y = np.zeros(n)
+        _sparsetools.csr_matvec(n, n, self.pattern_indptr,
+                                self.pattern_indices, values, x, y)
+        return y
+
     def pattern_values(self, matrix):
         """The ``data`` of a CSR matrix on this mesh's P1 pattern, which the
-        slot maps index directly; any other matrix raises ``ValueError``."""
+        slot maps index directly; any other matrix raises ``ValueError``.
+        One from ``csr`` is known by its shared, read-only index arrays."""
+        n, ptr, ind = self.num_nodes, self.pattern_indptr, self.pattern_indices
         if not (sp.issparse(matrix) and matrix.format == "csr"
-                and matrix.shape == (self.num_nodes, self.num_nodes)
-                and np.array_equal(matrix.indptr, self.pattern_indptr)
-                and np.array_equal(matrix.indices, self.pattern_indices)):
+                and matrix.shape == (n, n)
+                and (matrix.indptr is ptr and matrix.indices.base is ind
+                     and matrix.indices.dtype == ind.dtype
+                     and matrix.indices.strides == ind.strides
+                     and matrix.indices.shape == ind.shape
+                     or np.array_equal(matrix.indptr, ptr)
+                     and np.array_equal(matrix.indices, ind))):
             raise ValueError("matrix is not stored on the mesh's P1 pattern")
         return matrix.data
 

@@ -170,11 +170,11 @@ class SolvePlan:
     The pattern is fixed per mesh, so its symmetric ordering ``perm`` is
     found once, from the structure alone, and each matrix is factored as
     ``P A P^T`` with no further ordering: entry (i, j) of the permuted matrix
-    is ``A[perm[i], perm[j]]``.  Its CSC values are ``A.data[gather]`` on the
-    fixed ``indices`` and ``indptr``; explicit zeros stay in, so the symbolic
-    structure does not change between matrices.  SuperLU keeps its partial
-    pivoting, but takes the diagonal pivot while it is at least a tenth of
-    its column's largest entry, so the planned fill holds.
+    is ``A[perm[i], perm[j]]``.  Its CSC values are A's pattern values at
+    ``gather``, on the fixed ``indices`` and ``indptr``; explicit zeros stay
+    in, so the symbolic structure does not change between matrices.  SuperLU
+    keeps its partial pivoting, but takes the diagonal pivot while it is at
+    least a tenth of its column's largest entry, so the planned fill holds.
     """
 
     _OPTIONS = dict(SymmetricMode=True, DiagPivotThresh=0.1)
@@ -182,8 +182,8 @@ class SolvePlan:
 
     def __init__(self, mesh):
         n = mesh.num_nodes
+        self.mesh = mesh
         self.rows = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr))
-        self.diag_slots = mesh.diag_slots
         # a diagonally dominant matrix on the pattern is nonsingular, and
         # with diagonal pivots its ordering and fill depend on the structure
         # alone; neither ordering wins on every mesh (minimum degree on the
@@ -230,7 +230,7 @@ class SolvePlan:
         slots in the values of a matrix on the pattern, in place, puts 1 on
         their diagonal and returns the values.  The slots are found once."""
         slots = np.flatnonzero(np.isin(self.rows, nodes))
-        diag = self.diag_slots[nodes]
+        diag = self.mesh.diag_slots[nodes]
 
         def impose(data):
             data[slots] = 0.0
@@ -240,13 +240,12 @@ class SolvePlan:
         return impose
 
 
-def _backward_error(A, abs_A, x, b):
+def _backward_error(mesh, A, abs_A, x, b, b_max):
     """(err, r): the residual r = b - A x and the backward error
-    ||r|| / max(||A| |x|| + ||b||, tiny) in the max norm, for a sparse ``A``
-    and its entrywise absolute value ``abs_A``."""
-    r = b - A @ x
-    scale = float((abs_A @ np.abs(x)).max(initial=0.0)
-                  + np.abs(b).max(initial=0.0))
+    ||r|| / max(||A| |x|| + b_max, tiny) in the max norm, for the values
+    ``A`` on the mesh's P1 pattern, ``abs_A`` = |A| and b_max = ||b||."""
+    r = b - mesh.matvec(A, x)
+    scale = float(mesh.matvec(abs_A, np.abs(x)).max(initial=0.0) + b_max)
     return float(np.abs(r).max(initial=0.0)) / max(scale,
                                                    np.finfo(float).tiny), r
 
@@ -285,24 +284,25 @@ class LaggedFactor:
         self.lu = None
 
     def solve(self, A, b, x0=None, r0=None):
-        """x with A x = b, for a CSR matrix ``A`` on the plan's pattern,
-        started from ``x0``, given with its residual ``r0`` = A x0 - b, or
-        by default from zero: the first solution is x0 - LU^-1 r0, and a
-        refactor restarts from it.  From zero this is LU^-1 b, as negation
-        is exact."""
+        """x with A x = b, for the values ``A`` of a matrix on the plan's
+        pattern, started from ``x0``, given with its residual ``r0`` = A x0
+        - b, or by default from zero: the first solution is x0 - LU^-1 r0,
+        and a refactor restarts from it.  From zero this is LU^-1 b, as
+        negation is exact."""
         if x0 is None:
             x0, r0 = 0.0, -b
-        plan, abs_A = self.plan, abs(A)
+        plan, abs_A, b_max = self.plan, np.abs(A), np.abs(b).max(initial=0.0)
         while True:
             fresh = self.lu is None
             if fresh:
-                self.lu = plan.factor(A.data)
+                self.lu = plan.factor(A)
             x = x0 - plan.solve(self.lu, r0)
-            err, r = _backward_error(A, abs_A, x, b)
+            err, r = _backward_error(plan.mesh, A, abs_A, x, b, b_max)
             corrections = 0
             while not err <= LINEAR_TOL:
                 x_new = x + plan.solve(self.lu, r)
-                err_new, r_new = _backward_error(A, abs_A, x_new, b)
+                err_new, r_new = _backward_error(plan.mesh, A, abs_A, x_new,
+                                                 b, b_max)
                 corrections += 1
                 rho = err_new / err
                 if rho < 1.0:
@@ -328,11 +328,11 @@ class PoissonSolver:
     solution is shifted to zero mean.  Dirichlet values are imposed
     strongly.  The fixed nodes are identity rows of the ``stiffness`` values
     on the P1 pattern, factored once with ``plan``; ``lumped`` is the lumped
-    mass vector.
+    mass vector; backward errors are taken on kept pattern values.
     """
 
     def __init__(self, mesh, stiffness, lumped, bc, plan):
-        self.stiffness = stiffness.tocsr()
+        K = mesh.pattern_values(stiffness)
         self.d = np.asarray(lumped, dtype=float)
         self.area = float(self.d.sum())
         self.plan = plan
@@ -342,14 +342,13 @@ class PoissonSolver:
         if self.pure_neumann:
             # ground node 0; the projected right side makes this consistent
             fixed, values = np.zeros(1, dtype=np.int64), np.zeros(1)
-        self.fixed = fixed
-        self.fixed_values = values
-        data = plan.identity_rows(fixed)(self.stiffness.data.copy())
+        self.fixed, self.fixed_values = fixed, values
+        data = plan.identity_rows(fixed)(K.copy())
         self._lu = plan.factor(data)
         # the system the backward error is taken on: the singular K itself,
         # on every row, for a pure-Neumann potential after its mean shift
-        self._A = self.stiffness if self.pure_neumann else mesh.csr(data)
-        self._abs_A = abs(self._A)
+        self._A = K if self.pure_neumann else data
+        self._abs_A = np.abs(self._A)
 
     def solve(self, rho_diff):
         """Potential for a given charge difference p - n."""
@@ -369,7 +368,8 @@ class PoissonSolver:
         if self.pure_neumann:
             phi -= diagnostics.dot(self.d, phi) / self.area
             rhs = b
-        err = _backward_error(self._A, self._abs_A, phi, rhs)[0]
+        err = _backward_error(self.plan.mesh, self._A, self._abs_A, phi, rhs,
+                              np.abs(rhs).max(initial=0.0))[0]
         return _gate(phi, err, "potential")
 
 
@@ -444,7 +444,8 @@ class _StepContext:
         K = asm.stiffness.data
         if config.algorithm == 1:
             self._A_base = asm.mass.data * (1.0 / k) + K
-            self._b_old = (asm.mass @ state.p / k, asm.mass @ state.n / k)
+            self._b_old = tuple(asm.mesh.matvec(asm.mass.data, x) / k
+                                for x in (state.p, state.n))
         else:
             self._A_base = K.copy()
             self._A_base[asm.mesh.diag_slots] += asm.d * (1.0 / k)
@@ -469,8 +470,8 @@ class _StepContext:
         the cation sign, and pinned cation rows are identity rows of A with
         their values in c.
 
-        Returns (A_p, c_p, A_n, c_n), each A a CSR matrix on the mesh's P1
-        pattern.
+        Returns (A_p, c_p, A_n, c_n), each A the values of its matrix on
+        the mesh's P1 pattern.
         """
         asm, cfg, k = self.asm, self.config, self.k
         mesh, K, fns = asm.mesh, asm.stiffness, asm.fns
@@ -499,7 +500,7 @@ class _StepContext:
         if asm.p_fixed.size:
             A_p = asm.pin_p_rows(A_p)
             c_p[asm.p_fixed] = asm.p_fixed_values
-        return mesh.csr(A_p), c_p, mesh.csr(A_n), c_n
+        return A_p, c_p, A_n, c_n
 
     def residual_parts(self, z, built=None):
         """(res, r, systems, built) at the stacked iterate z = (p, n).
@@ -508,13 +509,14 @@ class _StepContext:
         at (p, n, phi), or the ``built`` of this same iterate when one is
         given, as a carry is.  ``systems`` is (A_p, b_p, A_n, b_n), and r =
         A(z) z - b(z), with max norm res, vanishes only at a fixed point."""
-        p, n = _unstack(z, self.asm.mesh.num_nodes)
+        mesh = self.asm.mesh
+        p, n = _unstack(z, mesh.num_nodes)
         if built is None:
             phi = self.asm.poisson.solve(p - n)
             built = phi, self.iterate_part(p, n, phi)
         A_p, c_p, A_n, c_n = built[1]
         b_p, b_n = self._b_old[0] + c_p, self._b_old[1] + c_n
-        r = _stack(A_p @ p - b_p, A_n @ n - b_n)
+        r = _stack(mesh.matvec(A_p, p) - b_p, mesh.matvec(A_n, n) - b_n)
         return float(np.abs(r).max()), r, (A_p, b_p, A_n, b_n), built
 
     def linearized_solve(self, systems, z, r):
@@ -634,11 +636,8 @@ class RunResult:
 
     def flags_ok(self):
         """True when every in-force flag holds on every report."""
-        for rep in self.all_reports():
-            for name, active in self.in_force.items():
-                if active and not getattr(rep, name):
-                    return False
-        return True
+        return all(getattr(rep, name) for rep in self.all_reports()
+                   for name, active in self.in_force.items() if active)
 
 
 def _make_report(state, asm, bounds, mass0, prev_entropy, picard_iters,
@@ -659,19 +658,17 @@ def _make_report(state, asm, bounds, mass0, prev_entropy, picard_iters,
     )
     min_p, _, max_p, _ = diagnostics.extrema(state.p)
     min_n, _, max_n, _ = diagnostics.extrema(state.n)
-    dmp_ok = (
-        min(min_p, min_n) >= lo - DMP_TOL and max(max_p, max_n) <= hi + DMP_TOL
-    )
-    mass_ok = True
-    mass0_p, mass0_n = mass0
-    if not asm.p_fixed.size:
-        mass_ok = abs(mass_p - mass0_p) <= MASS_DRIFT_TOL * max(abs(mass0_p), 1.0)
-    mass_ok = mass_ok and (
-        abs(mass_n - mass0_n) <= MASS_DRIFT_TOL * max(abs(mass0_n), 1.0)
-    )
-    entropy_ok = (
-        True if prev_entropy is None else entropy <= prev_entropy + ENTROPY_STEP_TOL
-    )
+    dmp_ok = (min(min_p, min_n) >= lo - DMP_TOL
+              and max(max_p, max_n) <= hi + DMP_TOL)
+
+    def kept(m, m0):
+        return abs(m - m0) <= MASS_DRIFT_TOL * max(abs(m0), 1.0)
+
+    # pinned cations take mass through the membrane
+    mass_ok = ((asm.p_fixed.size > 0 or kept(mass_p, mass0[0]))
+               and kept(mass_n, mass0[1]))
+    entropy_ok = (prev_entropy is None
+                  or entropy <= prev_entropy + ENTROPY_STEP_TOL)
     return diagnostics.StepReport(
         t=state.t, mass_p=mass_p, mass_n=mass_n,
         energy_es=diagnostics.energy_electrostatic(state.phi, asm.stiffness),
@@ -713,9 +710,8 @@ def run(scenario, on_step=None):
         )
 
     mass0 = (diagnostics.mass(p0, asm.d), diagnostics.mass(n0, asm.d))
-    initial_report = _make_report(
-        state, asm, (lo, hi), mass0, None, 0, smallness_ok
-    )
+    initial_report = _make_report(state, asm, (lo, hi), mass0, None, 0,
+                                  smallness_ok)
     acute = meshmod.check_acuteness(mesh, asm.stiffness).is_acute
     in_force = {
         "dmp_ok": scenario.bc.isolated,

@@ -56,9 +56,7 @@ class StabilizerMatrix:
     """
 
     def __init__(self, weights, values, mesh):
-        self.weights = weights
-        self.values = values
-        self._mesh = mesh
+        self.weights, self.values, self._mesh = weights, values, mesh
 
     @property
     def matrix(self):

@@ -49,32 +49,22 @@ def write_line_chart(path, title, xlabel, series):
         f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
         f'fill="none" stroke="#444"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<text x="{px(t):.1f}" y="{h - m + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{t:.4g}</text>'
-        )
-    for t in _ticks(y_lo, y_hi):
-        parts.append(
-            f'<text x="{m - 6}" y="{py(t):.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{t:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{w / 2}" y="{h - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
+    parts += [f'<text x="{px(t):.1f}" y="{h - m + 18}" text-anchor="middle" '
+              f'font-family="sans-serif" font-size="10">{t:.4g}</text>'
+              for t in _ticks(x_lo, x_hi)]
+    parts += [f'<text x="{m - 6}" y="{py(t):.1f}" text-anchor="end" '
+              f'font-family="sans-serif" font-size="10">{t:.4g}</text>'
+              for t in _ticks(y_lo, y_hi)]
+    parts.append(f'<text x="{w / 2}" y="{h - 8}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="12">{xlabel}</text>')
     for s, (label, xs, ys) in enumerate(series):
         color = _COLORS[s % len(_COLORS)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{w - m - 4}" y="{m + 16 + 14 * s}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" '
-            f'fill="{color}">{label}</text>'
-        )
+        parts += [f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                  f'stroke-width="1.5"/>',
+                  f'<text x="{w - m - 4}" y="{m + 16 + 14 * s}" '
+                  f'text-anchor="end" font-family="sans-serif" '
+                  f'font-size="11" fill="{color}">{label}</text>']
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(parts) + "\n")

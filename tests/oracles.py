@@ -539,34 +539,40 @@ def coo_residual(algorithm, k, mesh, fns, p_old, n_old, p, n, phi,
     return (r_p, r_n), parts[0] + parts[1]
 
 
-# The per-cell loops that built the three structured meshes: the builders
-# of pnpfem.mesh must give equal nodes, elements and tags.
-def check_solve(A, x, b, what):
-    """``x`` through the solver's backward-error gate, for a sparse ``A``."""
-    return _gate(x, _backward_error(A, abs(A), x, b)[0], what)
+def backward_error(mesh, A, x, b):
+    """(err, r) of ``_backward_error`` for the values ``A`` on the mesh's P1
+    pattern, with |A| and ||b|| taken here."""
+    return _backward_error(mesh, A, np.abs(A), x, b,
+                           np.abs(b).max(initial=0.0))
+
+
+def check_solve(mesh, A, x, b, what):
+    """``x`` through the solver's backward-error gate, for the values ``A``
+    on the mesh's P1 pattern."""
+    return _gate(x, backward_error(mesh, A, x, b)[0], what)
 
 
 def direct_solve(plan, A, b):
-    """A density solve with no kept factor: ``A``, a CSR matrix on the P1
-    pattern, is factored afresh, solved once and gated."""
-    x = plan.solve(plan.factor(A.data), b)
-    return check_solve(A, x, b, "density")
+    """A density solve with no kept factor: ``A``, the values of a matrix on
+    the P1 pattern, is factored afresh, solved once and gated."""
+    x = plan.solve(plan.factor(A), b)
+    return check_solve(plan.mesh, A, x, b, "density")
 
 
 def cold_lagged_solve(lagged, A, b):
     """``LaggedFactor.solve`` as it was before the warm start: every solve,
     and every restart after a refactor, begins at LU^-1 b.  It keeps its
     factor on ``lagged``, as the method does."""
-    plan, abs_A = lagged.plan, abs(A)
+    plan = lagged.plan
     fresh = lagged.lu is None
     if fresh:
-        lagged.lu = plan.factor(A.data)
+        lagged.lu = plan.factor(A)
     x = plan.solve(lagged.lu, b)
-    err, r = _backward_error(A, abs_A, x, b)
+    err, r = backward_error(plan.mesh, A, x, b)
     corrections = 0
     while not err <= LINEAR_TOL:
         x_new = x + plan.solve(lagged.lu, r)
-        err_new, r_new = _backward_error(A, abs_A, x_new, b)
+        err_new, r_new = backward_error(plan.mesh, A, x_new, b)
         corrections += 1
         rho = err_new / err
         if rho < 1.0:
@@ -579,13 +585,15 @@ def cold_lagged_solve(lagged, A, b):
         if fresh:
             break
         lagged.lu = None
-        lagged.lu = plan.factor(A.data)
+        lagged.lu = plan.factor(A)
         fresh, corrections = True, 0
         x = plan.solve(lagged.lu, b)
-        err, r = _backward_error(A, abs_A, x, b)
+        err, r = backward_error(plan.mesh, A, x, b)
     return _gate(x, err, "density")
 
 
+# The per-cell loops that built the three structured meshes: the builders
+# of pnpfem.mesh must give equal nodes, elements and tags.
 def loop_unit_square(n, offset=(-0.5, -0.5)):
     """Structured triangulation of a unit square by n x n cells.
 

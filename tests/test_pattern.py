@@ -3,12 +3,14 @@ assembly (coordinate triplets, CSR fancy indexing, row-mask products)."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pnpfem import (
     Assemblies,
     BoundarySpec,
     Mesh,
+    PoissonSolver,
     SolverConfig,
     State,
     assemble_drift,
@@ -26,7 +28,8 @@ from pnpfem import (
     star_transport_vector,
 )
 from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
-from pnpfem.solver import LaggedFactor, _StepContext
+from pnpfem.solver import (LaggedFactor, SolvePlan, _StepContext,
+                           picard_step_alg1, picard_step_alg2)
 
 import oracles
 
@@ -135,9 +138,8 @@ def test_solve_plan_against_spsolve(where):
     assert np.array_equal(plan.indices, expected.indices)
     assert np.array_equal(data[plan.gather], expected.data)
 
-    A = mesh.csr(data)
-    x = LaggedFactor(plan).solve(A, b)
-    x_ref = spla.spsolve(A.tocsc(), b)
+    x = LaggedFactor(plan).solve(data, b)
+    x_ref = spla.spsolve(mesh.csr(data).tocsc(), b)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
@@ -160,6 +162,50 @@ def test_matrix_off_the_pattern_rejected(case):
         mesh.pattern_values(pruned)
     assert np.array_equal(mesh.pattern_values(K)[mesh.edge_slots],
                           np.asarray(K[mesh.edge_i, mesh.edge_j]).ravel())
+    # a reversed view of the pattern's indices is no full view of them
+    ptr, ind = mesh.pattern_indptr, mesh.pattern_indices
+    reversed_ = sp.csr_matrix((K.data, ind[::-1], ptr), shape=K.shape)
+    assert reversed_.indptr is ptr and reversed_.indices.base is ind
+    with pytest.raises(ValueError, match="pattern"):
+        mesh.pattern_values(reversed_)
+
+
+def test_pattern_check_knows_its_own_matrices(case):
+    """A matrix from ``csr`` shares the pattern's indptr and a full view of
+    its indices, which the check recognizes without comparing them; a copy
+    owns its arrays and passes the full comparison."""
+    mesh, K = case["mesh"], case["K"]
+    assert K.indptr is mesh.pattern_indptr
+    assert K.indices.base is mesh.pattern_indices
+    assert mesh.pattern_values(K) is K.data
+    copy = K.copy()
+    assert copy.indptr is not mesh.pattern_indptr
+    assert copy.indices.base is not mesh.pattern_indices
+    assert mesh.pattern_values(copy) is copy.data
+
+
+def test_matvec_is_the_csr_product_bit_for_bit(case):
+    """The pattern product runs the kernel of ``csr @ x``: with explicit
+    zeros, with pinned identity rows and on |A| it equals scipy's product
+    bit for bit, over entries that span sixteen orders of magnitude, so a
+    scipy that moves or changes the kernel fails here."""
+    mesh = case["mesh"]
+    rng = np.random.default_rng(29)
+    magnitude = 10.0 ** rng.uniform(-8.0, 8.0, size=mesh.pattern_nnz)
+    values = rng.normal(size=mesh.pattern_nnz) * magnitude
+    values[::5] = 0.0
+    fixed = np.arange(0, mesh.num_nodes, 7)
+    pinned = SolvePlan(mesh).identity_rows(fixed)(values.copy())
+    x = rng.normal(size=mesh.num_nodes) * 10.0 ** rng.uniform(
+        -8.0, 8.0, size=mesh.num_nodes)
+    for v in (values, pinned, np.abs(values)):
+        y = mesh.matvec(v, x)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, mesh.csr(v) @ x)
+    assert np.array_equal(mesh.matvec(pinned, x)[fixed], x[fixed])
+    for bad in ((values[:-1], x), (values, x[:-1])):
+        with pytest.raises(ValueError, match="matvec"):
+            mesh.matvec(*bad)
 
 
 # every public function that reads the pattern slots of a matrix argument,
@@ -178,6 +224,9 @@ PATTERN_READERS = {
     "dissipation": lambda c, X: dissipation_Dh(
         c["x"], c["phi"], X, c["mesh"]),
     "acuteness": lambda c, X: check_acuteness(c["mesh"], X),
+    "poisson": lambda c, X: PoissonSolver(
+        c["mesh"], X, np.ones(c["mesh"].num_nodes), BoundarySpec(),
+        SolvePlan(c["mesh"])),
 }
 
 
@@ -308,8 +357,8 @@ def test_pinned_row_systems(algorithm):
         exp_b_n = asm.d * n / k + (oracles.coo_star_transport_vector(
             n, phi, fns, K, mesh) - Tn_n)
     exp_p = oracles.coo_pinned_rows(exp_p, asm.p_fixed)
-    assert _close(A_p, exp_p)
-    assert _close(A_n, exp_n)
+    assert _close(mesh.csr(A_p), exp_p)
+    assert _close(mesh.csr(A_n), exp_n)
     exp_b_p[asm.p_fixed] = 1.0
     assert _close(b_p, exp_b_p)
     assert _close(b_n, exp_b_n)
@@ -342,7 +391,8 @@ def test_residual_matches_term_by_term_oracle(algorithm, where):
     _, r, (A_p, b_p, A_n, b_n), (phi, _) = ctx.residual_parts(
         np.concatenate([p, n]))
     # the returned systems are the ones the residual was taken on
-    assert np.array_equal(r, np.concatenate([A_p @ p - b_p, A_n @ n - b_n]))
+    assert np.array_equal(r, np.concatenate([mesh.csr(A_p) @ p - b_p,
+                                             mesh.csr(A_n) @ n - b_n]))
 
     a_p = compute_alpha(p, config.q, mesh, asm.stencil)
     a_n = compute_alpha(n, config.q, mesh, asm.stencil)
@@ -355,10 +405,11 @@ def test_residual_matches_term_by_term_oracle(algorithm, where):
     assert np.abs(r - np.concatenate([r_p, r_n])).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("algorithm, wrapped", [(1, 3), (2, 2)])
-def test_systems_wrap_only_drift_and_results(monkeypatch, algorithm, wrapped):
-    """One coefficient build makes CSR matrices of the two density systems
-    and, under Alg. 1, of the drift; the stabilizers hand over values."""
+@pytest.mark.parametrize("algorithm, wrapped", [(1, 1), (2, 0)])
+def test_systems_wrap_only_drift(monkeypatch, algorithm, wrapped):
+    """One coefficient build makes a CSR matrix of the drift alone, under
+    Alg. 1; the stabilizers and the two density systems are values on the
+    P1 pattern."""
     make_mesh, bc = RESIDUAL_CASES["channel"]
     mesh = make_mesh()
     asm = Assemblies(mesh, build_sym_stencils(mesh), bc,
@@ -375,6 +426,40 @@ def test_systems_wrap_only_drift_and_results(monkeypatch, algorithm, wrapped):
     A_p, _, A_n, _ = ctx.iterate_part(p, n, phi)
     assert len(calls) == wrapped
     for A in (A_p, A_n):
-        assert A.format == "csr"
-        assert np.array_equal(A.indptr, mesh.pattern_indptr)
-        assert np.array_equal(A.indices, mesh.pattern_indices)
+        assert type(A) is np.ndarray and A.shape == (mesh.pattern_nnz,)
+
+
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_march_step_builds_csr_only_for_the_drift(monkeypatch, algorithm):
+    """A step of the pinned-row channel, from the potential solves to the
+    density factors, keeps its systems as values on the P1 pattern: under
+    Alg. 2 it builds no CSR matrix, and under Alg. 1 only the drift's, one
+    per evaluation of an iterate."""
+    import pnpfem.solver as solver
+    make_mesh, bc = PLAN_CASES["channel"]
+    mesh = make_mesh()
+    asm = Assemblies(mesh, build_sym_stencils(mesh), bc,
+                     entropy_functions(1e-8))
+    rng = np.random.default_rng(17)
+    p, n = rng.uniform(0.5, 2.0, size=(2, mesh.num_nodes))
+    p[asm.p_fixed] = asm.p_fixed_values
+    state = State(p, n, asm.poisson.solve(p - n), 0.0)
+    config = SolverConfig(algorithm=algorithm, k=0.01)
+    calls = {"csr": 0, "drift": 0, "evaluations": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Mesh, "csr", counted("csr", Mesh.csr))
+    monkeypatch.setattr(solver, "assemble_drift",
+                        counted("drift", solver.assemble_drift))
+    monkeypatch.setattr(_StepContext, "iterate_part",
+                        counted("evaluations", _StepContext.iterate_part))
+    step = picard_step_alg1 if algorithm == 1 else picard_step_alg2
+    _, iters, _, _ = step(state, config, asm)
+    assert iters > 1 and calls["evaluations"] > iters
+    expected = calls["evaluations"] if algorithm == 1 else 0
+    assert calls["csr"] == calls["drift"] == expected

@@ -369,8 +369,8 @@ class TestUpwindTransport:
             upwind = (off + np.minimum(sig, 0.0), off + np.minimum(-sig, 0.0))
             for slots, bound in zip((mesh.edge_slots, mesh.edge_slots_t),
                                     upwind):
-                assert np.all(A.data[slots] <= np.maximum(bound, 0.0))
-                assert np.all(A.data[slots][kij <= 0.0] <= 0.0)
+                assert np.all(A[slots] <= np.maximum(bound, 0.0))
+                assert np.all(A[slots][kij <= 0.0] <= 0.0)
             assert np.abs(T.sum(axis=0)).max() <= 1e-13 * scale
             assert np.abs(Tx - T @ x).max() <= 1e-13 * scale * x.max()
             T_loop, _, lam = oracles.loop_transport_matrix(
@@ -396,7 +396,8 @@ class TestUpwindTransport:
         (r_p, r_n), terms = oracles.coo_residual(
             2, k, mesh, fns, p_old, n_old, p, n, phi, a_p, a_n,
             asm.p_fixed, asm.p_fixed_values)
-        got = np.concatenate([A_p @ p - b_p, A_n @ n - b_n])
+        got = np.concatenate([mesh.csr(A_p) @ p - b_p,
+                              mesh.csr(A_n) @ n - b_n])
         scale = max(np.abs(t).max() for t in terms)
         assert np.abs(got - np.concatenate([r_p, r_n])).max() <= 1e-12 * scale
 
@@ -425,7 +426,7 @@ class TestUpwindTransport:
         def recorded(self, *args):
             part = build(self, *args)
             for A in part[::2]:
-                off = A.data.copy()
+                off = A.copy()
                 off[mesh.diag_slots] = -np.inf
                 largest.append(off.max())
             return part
@@ -480,10 +481,10 @@ class TestSaturatedAlg1Systems:
         assert len(couplings) == 2
         for A, bare, (f_ij, f_ji) in zip((A_p, A_n), (bare_p, bare_n),
                                          couplings):
-            assert np.array_equal(f_ij, bare.data[mesh.edge_slots])
-            assert np.array_equal(f_ji, bare.data[mesh.edge_slots_t])
+            assert np.array_equal(f_ij, bare[mesh.edge_slots])
+            assert np.array_equal(f_ji, bare[mesh.edge_slots_t])
             assert max(f_ij.max(), f_ji.max()) > 0.0
-            off = A.data.copy()
+            off = A.copy()
             off[mesh.diag_slots] = 0.0
             assert off.max() <= 0.0
 
