@@ -29,10 +29,19 @@ def build_parser():
     p.add_argument("--k", type=float, help="time step")
     p.add_argument("--T", type=float, help="final time")
     p.add_argument("--q", type=float, help="shock detector exponent")
-    p.add_argument("--out", help="output directory (default: scenario value)")
+    p.add_argument("--out", dest="output_dir",
+                   help="output directory (default: scenario value)")
     p.add_argument("--snapshots",
                    help="comma-separated times for VTK snapshots")
     return p
+
+
+def _time(text):
+    """``text`` as a float, or as given for the config check to refuse."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _load_scenario(args):
@@ -41,12 +50,11 @@ def _load_scenario(args):
     meaning, on a mesh built once for the run and its snapshots."""
     if not (args.config or args.scenario):
         raise ConfigError("one of --scenario or --config is required")
-    flags = {"scenario": args.scenario, "algorithm": args.algorithm,
-             "k": args.k, "T": args.T, "q": args.q, "output_dir": args.out}
-    if args.snapshots is not None:
-        flags["snapshots"] = [float(t) for t in args.snapshots.split(",")
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None and key != "config"}
+    if "snapshots" in flags:
+        flags["snapshots"] = [_time(t) for t in flags["snapshots"].split(",")
                               if t.strip()]
-    flags = {key: value for key, value in flags.items() if value is not None}
     raw = read_config(args.config) if args.config else {}
     source = (f"{args.config} with flags" if args.config and flags
               else args.config or "flags")

@@ -11,7 +11,9 @@ Four built-in experiments are shipped:
 - ``channel_selective``: the wave data with the cation density pinned to 1 on
   the membrane walls and a +-1 potential drop.
 
-Configs are JSON; any file key overrides the named built-in's value.
+Each is one entry of ``_BUILTINS``, its defaults for the config keys.
+``scenario_from_config`` builds every scenario, from a config (JSON, the CLI
+flags, or ``builtin_scenario``'s name and algorithm) over those defaults.
 """
 
 import ast
@@ -22,10 +24,8 @@ import numpy as np
 
 from . import mesh as meshmod
 from .fespace import averaged_interpolate, nodal_interpolate
-from .mesh import _real, _whole
+from .mesh import BOTTOM, MEMBRANE, TOP, _real, _whole
 from .solver import BoundarySpec, SolverConfig
-
-BUILTIN_NAMES = ("smooth", "channel_uniform", "channel_wave", "channel_selective")
 
 _EXPR_NAMESPACE = {
     name: getattr(np, name)
@@ -61,6 +61,10 @@ def wave_p0(x, y):
 def wave_n0(x, y):
     """Anion front stacked against the bottom wall of the channel."""
     return -np.tanh(10.0 * y - 0.8) + 1.0
+
+
+def _ones(x, y):
+    return np.ones_like(x)
 
 
 class Scenario:
@@ -120,64 +124,46 @@ class Scenario:
         return interpolate(p0_fn, mesh), interpolate(n0_fn, mesh)
 
 
-def builtin_scenario(name, algorithm=1):
-    """A shipped experiment with its reference parameters.
+# each built-in's defaults for the config keys, with initial data as
+# functions of (x, y) where a config gives expressions
+_BUILTINS = {
+    "smooth": dict(
+        mesh={"n": 40}, initial=(smooth_p0, smooth_n0, "averaged"), bc={},
+        k=1e-3, T=0.5, snapshots=(0.01, 0.02, 0.04, 0.1, 0.2, 0.5)),
+    "channel_uniform": dict(
+        mesh={"cell": 0.1}, initial=(_ones, _ones, "nodal"),
+        bc={"phi_dirichlet": {BOTTOM: -50.0, TOP: 50.0}},
+        k=1e-2, T=1.0, snapshots=(0.01, 0.05, 0.1, 1.0)),
+    "channel_wave": dict(
+        mesh={"cell": 0.1}, initial=(wave_p0, wave_n0, "nodal"),
+        bc={"phi_dirichlet": {BOTTOM: -50.0, TOP: 50.0}},
+        k=1e-2, T=1.0, snapshots=(0.1, 0.2, 0.35, 1.0)),
+    # both species start as the bottom front: the anion wave then climbs the
+    # channel while the membrane feeds cations into it, so the cation mass
+    # grows from the first step on
+    "channel_selective": dict(
+        mesh={"cell": 0.1}, initial=(wave_n0, wave_n0, "nodal"),
+        bc={"phi_dirichlet": {BOTTOM: -1.0, TOP: 1.0},
+            "p_dirichlet": {MEMBRANE: 1.0}},
+        k=1e-2, T=10.0, snapshots=(1.0, 2.0, 5.0, 10.0)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
-    Raises ``ValueError`` for unknown names.
-    """
-    if name == "smooth":
-        return Scenario(
-            name,
-            ("square", 40),
-            (smooth_p0, smooth_n0, "averaged"),
-            BoundarySpec(),
-            SolverConfig(algorithm=algorithm, k=1e-3, T=0.5),
-            snapshot_times=(0.01, 0.02, 0.04, 0.1, 0.2, 0.5),
-        )
-    if name == "channel_uniform":
-        return Scenario(
-            name,
-            ("channel", 0.1),
-            (lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x), "nodal"),
-            BoundarySpec(phi_dirichlet={meshmod.BOTTOM: -50.0, meshmod.TOP: 50.0}),
-            SolverConfig(algorithm=algorithm, k=1e-2, T=1.0),
-            snapshot_times=(0.01, 0.05, 0.1, 1.0),
-        )
-    if name == "channel_wave":
-        return Scenario(
-            name,
-            ("channel", 0.1),
-            (wave_p0, wave_n0, "nodal"),
-            BoundarySpec(phi_dirichlet={meshmod.BOTTOM: -50.0, meshmod.TOP: 50.0}),
-            SolverConfig(algorithm=algorithm, k=1e-2, T=1.0),
-            snapshot_times=(0.1, 0.2, 0.35, 1.0),
-        )
-    if name == "channel_selective":
-        # both species start as the bottom front: the anion wave then climbs
-        # the channel while the membrane feeds cations into it, so the cation
-        # mass grows from the first step on
-        return Scenario(
-            name,
-            ("channel", 0.1),
-            (wave_n0, wave_n0, "nodal"),
-            BoundarySpec(
-                phi_dirichlet={meshmod.BOTTOM: -1.0, meshmod.TOP: 1.0},
-                p_dirichlet={meshmod.MEMBRANE: 1.0},
-            ),
-            SolverConfig(algorithm=algorithm, k=1e-2, T=10.0),
-            snapshot_times=(1.0, 2.0, 5.0, 10.0),
-        )
-    raise ValueError(f"unknown scenario {name!r}; choose from {BUILTIN_NAMES}")
+
+def builtin_scenario(name, algorithm=1):
+    """The shipped experiment ``name`` under ``algorithm``: the config of
+    these two keys alone.  Raises ``ValueError`` for unknown names."""
+    return scenario_from_config({"scenario": name, "algorithm": algorithm},
+                                "builtin_scenario")
 
 
 class ConfigError(ValueError):
     """A scenario config failed validation; the message names the key."""
 
 
-_CONFIG_KEYS = {
-    "scenario", "algorithm", "k", "T", "q", "mesh", "initial", "bc",
-    "output_dir", "snapshots", "picard_residual_tol", "picard_max_iters",
-}
+_SOLVER_DEFAULTS = vars(SolverConfig())
+_CONFIG_KEYS = {"scenario", "mesh", "initial", "bc", "output_dir",
+                "snapshots", *_SOLVER_DEFAULTS}
 _MESH_KEYS = {"n", "cell"}
 _INITIAL_KEYS = {"p0", "n0", "mode"}
 _BC_KEYS = {"phi_dirichlet", "p_dirichlet"}
@@ -247,27 +233,30 @@ def scenario_from_config(raw, source):
                           f"'mesh.cell' (channel), not both")
     ini = _section(raw.get("initial", {}), _INITIAL_KEYS, "'initial'", source)
     b = _section(raw.get("bc", {}), _BC_KEYS, "'bc'", source)
+    name = raw.get("scenario", "smooth")
+    if name not in BUILTIN_NAMES:
+        raise ConfigError(f"{source}: unknown scenario {name!r}; choose from "
+                          f"{BUILTIN_NAMES}")
+    base = _BUILTINS[name]
+    mesh = mesh or base["mesh"]
+    p0, n0, mode = base["initial"]
     try:
-        base = builtin_scenario(raw.get("scenario", "smooth"))
-        config = SolverConfig(**{key: raw.get(key, value)
-                                 for key, value in vars(base.config).items()})
-        p0, n0, mode = base.initial
+        config = SolverConfig(**{key: raw.get(key, base.get(key, value))
+                                 for key, value in _SOLVER_DEFAULTS.items()})
         return Scenario(
-            base.name,
+            name,
             ("square", mesh["n"]) if "n" in mesh
-            else ("channel", mesh["cell"]) if "cell" in mesh
-            else base.mesh_spec,
+            else ("channel", mesh["cell"]),
             (_compile_expression(ini["p0"], "initial.p0") if "p0" in ini
              else p0,
              _compile_expression(ini["n0"], "initial.n0") if "n0" in ini
              else n0,
              ini.get("mode", mode)),
-            BoundarySpec(b.get("phi_dirichlet", base.bc.phi_dirichlet),
-                         b.get("p_dirichlet", base.bc.p_dirichlet)),
+            BoundarySpec(**{**base["bc"], **b}),
             config,
-            output_dir=raw.get("output_dir", base.output_dir),
+            output_dir=raw.get("output_dir", "out"),
             snapshot_times=raw.get("snapshots", [
-                t for t in base.snapshot_times
+                t for t in base["snapshots"]
                 if config.step_of(t) is not None]),
         )
     except ValueError as err:

@@ -753,6 +753,18 @@ def jittered_delaunay_mesh(n, jitter, seed):
     return Mesh(pts, tri)
 
 
+def jittered_equilateral_strip(n, jitter, seed, side=0.125):
+    """``build_equilateral_strip(n, n, side)`` whose interior nodes are moved
+    by up to ``jitter`` sides in each coordinate."""
+    base = meshmod.build_equilateral_strip(n, n, side=side)
+    rng = np.random.default_rng(seed)
+    nodes = base.nodes.copy()
+    inner = ~base.boundary_mask
+    nodes[inner] += rng.uniform(-jitter, jitter,
+                                size=(inner.sum(), 2)) * side
+    return Mesh(nodes, base.elements)
+
+
 
 def fan_mesh(valence):
     """Triangles fanned around one interior node at the origin, whose

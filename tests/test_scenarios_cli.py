@@ -17,34 +17,116 @@ from pnpfem import (
 )
 from pnpfem import diagnostics
 from pnpfem.cli import main as cli_main
+from pnpfem.fespace import averaged_interpolate, nodal_interpolate
 from pnpfem.mesh import BOTTOM, MEMBRANE, TOP
-from pnpfem.scenarios import ConfigError, scenario_from_config
+from pnpfem.scenarios import (
+    BUILTIN_NAMES,
+    ConfigError,
+    scenario_from_config,
+    smooth_n0,
+    smooth_p0,
+    wave_n0,
+    wave_p0,
+)
 
 from oracles import read_vtk_point_data
 
 
+def _ones(x, y):
+    return np.ones_like(x)
+
+
+# every field of each shipped scenario, written out
+BUILTINS = {
+    "smooth": {
+        "mesh_spec": ("square", 40),
+        "initial": (smooth_p0, smooth_n0, "averaged"),
+        "phi_dirichlet": {}, "p_dirichlet": {}, "k": 1e-3, "T": 0.5,
+        "snapshot_times": (0.01, 0.02, 0.04, 0.1, 0.2, 0.5)},
+    "channel_uniform": {
+        "mesh_spec": ("channel", 0.1), "initial": (_ones, _ones, "nodal"),
+        "phi_dirichlet": {BOTTOM: -50.0, TOP: 50.0}, "p_dirichlet": {},
+        "k": 1e-2, "T": 1.0, "snapshot_times": (0.01, 0.05, 0.1, 1.0)},
+    "channel_wave": {
+        "mesh_spec": ("channel", 0.1), "initial": (wave_p0, wave_n0, "nodal"),
+        "phi_dirichlet": {BOTTOM: -50.0, TOP: 50.0}, "p_dirichlet": {},
+        "k": 1e-2, "T": 1.0, "snapshot_times": (0.1, 0.2, 0.35, 1.0)},
+    "channel_selective": {
+        "mesh_spec": ("channel", 0.1), "initial": (wave_n0, wave_n0, "nodal"),
+        "phi_dirichlet": {BOTTOM: -1.0, TOP: 1.0},
+        "p_dirichlet": {MEMBRANE: 1.0}, "k": 1e-2, "T": 10.0,
+        "snapshot_times": (1.0, 2.0, 5.0, 10.0)},
+}
+
+
+def assert_fields(sc, name, algorithm, **changed):
+    """Check every field of ``sc`` against the built-in ``name`` under
+    ``algorithm``, with the fields in ``changed`` replaced."""
+    want = {**BUILTINS[name], "output_dir": "out", **changed}
+    p0_fn, n0_fn, mode = want["initial"]
+    assert sc.name == name
+    assert sc.mesh_spec == want["mesh_spec"]
+    assert sc.initial[2] == mode
+    mesh = sc.make_mesh()
+    interpolate = (averaged_interpolate if mode == "averaged"
+                   else nodal_interpolate)
+    p0, n0 = sc.initial_fields(mesh)
+    assert p0.tobytes() == interpolate(p0_fn, mesh).tobytes()
+    assert n0.tobytes() == interpolate(n0_fn, mesh).tobytes()
+    assert sc.bc.phi_dirichlet == want["phi_dirichlet"]
+    assert sc.bc.p_dirichlet == want["p_dirichlet"]
+    assert vars(sc.config) == {
+        "algorithm": algorithm, "k": want["k"], "T": want["T"], "q": 2.0,
+        "picard_residual_tol": 1e-6, "picard_max_iters": 400}
+    assert sc.snapshot_times == want["snapshot_times"]
+    assert sc.output_dir == want["output_dir"]
+
+
 class TestBuiltinScenarios:
-    def test_smooth_parameters(self):
-        sc = builtin_scenario("smooth")
-        assert sc.config.k == 1e-3
-        assert sc.config.T == 0.5
-        assert sc.config.q == 2.0
-        assert sc.mesh_spec == ("square", 40)
-        assert sc.bc.pure_neumann
-        assert sc.initial[2] == "averaged"
+    def test_names(self):
+        assert BUILTIN_NAMES == tuple(BUILTINS)
 
-    def test_channel_uniform_boundary_data(self):
-        sc = builtin_scenario("channel_uniform")
-        assert sc.bc.phi_dirichlet == {BOTTOM: -50.0, TOP: 50.0}
-        assert not sc.bc.p_dirichlet
-        assert sc.config.k == 1e-2
-        assert sc.config.T == 1.0
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_every_field(self, name, algorithm):
+        assert_fields(builtin_scenario(name, algorithm=algorithm), name,
+                      algorithm)
 
-    def test_channel_selective_boundary_data(self):
-        sc = builtin_scenario("channel_selective")
-        assert sc.bc.phi_dirichlet == {BOTTOM: -1.0, TOP: 1.0}
-        assert sc.bc.p_dirichlet == {MEMBRANE: 1.0}
-        assert sc.config.T == 10.0
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    @pytest.mark.parametrize("raw, changed", [
+        # the built-in times that fit the new T and k are kept
+        ({"scenario": "channel_wave", "k": 0.05, "T": 0.2},
+         {"k": 0.05, "T": 0.2, "snapshot_times": (0.1, 0.2)}),
+        ({"scenario": "channel_selective", "mesh": {"cell": 0.5}},
+         {"mesh_spec": ("channel", 0.5)}),
+        ({"scenario": "channel_uniform", "mesh": {"n": 6}},
+         {"mesh_spec": ("square", 6)}),
+        ({"mesh": {"n": 6}, "snapshots": [0.3, 0.002]},
+         {"mesh_spec": ("square", 6), "snapshot_times": (0.3, 0.002)}),
+        ({"scenario": "channel_wave", "mesh": {"cell": 0.5},
+          "snapshots": [], "output_dir": "o"},
+         {"mesh_spec": ("channel", 0.5), "snapshot_times": (),
+          "output_dir": "o"}),
+    ])
+    def test_every_field_under_overrides(self, raw, changed, algorithm):
+        sc = scenario_from_config({**raw, "algorithm": algorithm}, "test")
+        assert_fields(sc, raw.get("scenario", "smooth"), algorithm, **changed)
+
+    def test_built_scenarios_share_no_mutable_field(self):
+        # a caller may change the scenario it receives in place
+        changed = builtin_scenario("channel_selective")
+        kept = builtin_scenario("channel_selective")
+        changed.config.T = 0.5
+        changed.bc.phi_dirichlet[BOTTOM] = 7.0
+        changed.bc.p_dirichlet.clear()
+        for sc in (kept, builtin_scenario("channel_selective")):
+            assert_fields(sc, "channel_selective", 1)
+
+    @pytest.mark.parametrize("name", [["smooth"], 1, None, "Smooth"])
+    def test_scenario_that_names_no_builtin_rejected(self, name):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"test: unknown scenario {name!r}")):
+            scenario_from_config({"scenario": name}, "test")
 
     def test_channel_wave_initial_fronts(self):
         # fronts transition at y = 0.62 (cations) and y = 0.08 (anions)
@@ -61,9 +143,6 @@ class TestBuiltinScenarios:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             builtin_scenario("bogus")
-
-    def test_algorithm_choice_propagates(self):
-        assert builtin_scenario("smooth", algorithm=2).config.algorithm == 2
 
     def test_snapshot_times_inside_horizon(self):
         with pytest.raises(ValueError, match="snapshot"):
@@ -168,10 +247,9 @@ class TestParseConfig:
             "scenario": "smooth", "algorithm": 2, "k": 0.01, "T": 0.05,
             "mesh": {"n": 6},
         })
-        sc = parse_config(path)
-        assert sc.config.algorithm == 2
-        assert sc.config.k == 0.01
-        assert sc.mesh_spec == ("square", 6)
+        assert_fields(parse_config(path), "smooth", 2, k=0.01, T=0.05,
+                      mesh_spec=("square", 6),
+                      snapshot_times=(0.01, 0.02, 0.04))
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = self._write(tmp_path, {"scenario": "smooth", "bogus": 1})
@@ -319,12 +397,9 @@ class TestParseConfig:
         a = parse_config(self._write(tmp_path, payload))
         b = scenario_from_config(payload, "dict")
         for sc in (a, b):
-            assert sc.name == "channel_wave" and sc.mesh_spec == (
-                "channel", 0.5)
-            assert vars(sc.config) == vars(SolverConfig(
-                algorithm=2, k=0.02, T=0.2))
-            assert sc.snapshot_times == (0.1, 0.2)
-            assert sc.output_dir == "o"
+            assert_fields(sc, "channel_wave", 2, k=0.02, T=0.2,
+                          mesh_spec=("channel", 0.5),
+                          snapshot_times=(0.1, 0.2), output_dir="o")
 
 
 class TestVtk:
@@ -649,6 +724,20 @@ class TestCli:
             capsys.readouterr().err
         assert cli_main(["--scenario", "smooth", "--q", "-1"]) == 2
         assert "flags: 'q' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_malformed_snapshots_flag_names_it(self, tmp_path, capsys,
+                                               monkeypatch, config):
+        # refused with the config, before the output directory is made
+        monkeypatch.chdir(tmp_path)
+        args = (["--config", self._neutral_config(tmp_path)] if config
+                else ["--scenario", "smooth", "--T", "0.002"])
+        assert cli_main(args + ["--snapshots", "0.001,abc"]) == 2
+        source = "config.json with flags" if config else "flags"
+        assert (f"{source}: 'snapshots' must be a finite real number, got "
+                f"'abc'") in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["config.json"] if config else [])
 
     def test_linear_solve_failure_writes_partial_outputs(
             self, tmp_path, monkeypatch, capsys):
