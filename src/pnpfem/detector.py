@@ -19,7 +19,9 @@ def compute_alpha(x, q, mesh, stencil):
 
     alpha_i = [ |sum_j jump_ij| / sum_j 2 mean_ij ]^q when the denominator
     exceeds an absolute tolerance, else 0; the ratio is clamped to [0, 1]
-    before exponentiation to absorb roundoff.
+    before exponentiation to absorb roundoff.  Both slopes of a pair come
+    from the pairs' differences x_j - x_i, through ``stencil.sym_map``
+    (built once per stencil), so a constant field gives exact zeros.
 
     Parameters
     ----------
@@ -37,8 +39,9 @@ def compute_alpha(x, q, mesh, stencil):
     # s2 = (x_sym - x_i)/r_sym through its symmetric point: jump_ij = s1 + s2
     # and 2 mean_ij = |s1| + |s2|
     x = np.asarray(x, dtype=float)
-    s1 = (x[mesh.pair_j] - x[mesh.pair_i]) / stencil.r_len
-    s2 = (stencil.eval_at_sym(x) - x[mesh.pair_i]) / stencil.r_sym_len
+    d = x[mesh.pair_j] - x[mesh.pair_i]
+    s1 = d / stencil.r_len
+    s2 = (stencil.sym_map @ d) / stencil.r_sym_len
     jumps = s1 + s2
     two_means = np.abs(s1) + np.abs(s2)
     ptr = mesh.pair_ptr

@@ -3,7 +3,8 @@
 Fields are plain 1D numpy arrays with one value per mesh node; matrices are
 scipy CSR on the mesh's P1 pattern.  All element integrals here are exact
 for the polynomial degrees involved (the closed-form local matrices of
-linear elements).
+linear elements).  The drift, assembled at every Picard iterate of Algorithm
+1, is a run-constant map on the mesh (``Mesh.drift_map``) times the potential.
 """
 
 import numpy as np
@@ -65,15 +66,10 @@ def assemble_drift(mesh, phi):
     """Drift matrix G_ij = (phi_j grad(phi_h) . grad phi_i) for a potential.
 
     The potential gradient is constant per element and the remaining hat
-    integral is A/3, so the integration is exact.
+    integral is A/3, so the integration is exact.  G's values are linear in
+    phi: ``mesh.drift_map @ phi``, whose map is built once per mesh.
     """
-    phi = np.asarray(phi, dtype=float)
-    g = mesh.gradients
-    gphi = np.einsum("ea,eax->ex", phi[mesh.elements], g)
-    # row = test function a, identical for the three trial columns
-    row_val = np.einsum("ex,eax->ea", gphi, g) * (mesh.areas[:, None] / 3.0)
-    local = np.repeat(row_val[:, :, None], 3, axis=2)
-    return _accumulate(mesh, local)
+    return mesh.csr(mesh.drift_map @ np.asarray(phi, dtype=float))
 
 
 def _finite(vals, mesh):

@@ -7,6 +7,7 @@ ray from node j through node i leaves the star of i.
 """
 
 import collections
+import functools
 import numbers
 
 import numpy as np
@@ -201,6 +202,21 @@ class Mesh:
     @property
     def pattern_nnz(self):
         return self.pattern_indices.size
+
+    @functools.cached_property
+    def drift_map(self):
+        """(nnz x N) map, built on first use, from a potential to its drift
+        matrix's values on the pattern: row a of G on element e, A_e/3 grad
+        lambda_a . grad phi_h, is added into ``element_slots[e, a]``."""
+        g, m = self.gradients, self.num_elements
+        ptr = np.arange(0, 9 * m + 1, 3)
+        rows = np.einsum("eax,ebx,e->eab", g, g, self.areas / 3.0)
+        element_map = sp.csr_matrix(
+            (rows.ravel(), np.repeat(self.elements, 3, axis=0).ravel(), ptr),
+            shape=(3 * m, self.num_nodes))
+        slot_map = sp.csr_matrix((np.ones(9 * m), self.element_slots.ravel(),
+                                  ptr), shape=(3 * m, self.pattern_nnz)).T
+        return (slot_map @ element_map).tocsr()
 
     def csr(self, data):
         """CSR matrix with the given values on the P1 pattern."""
@@ -398,11 +414,18 @@ class SymmetricStencil:
         self.r_sym_len = r_sym_len
         self.one_sided = one_sided
 
-    def eval_at_sym(self, x):
-        """Values of the nodal field x at every symmetric point."""
-        x = np.asarray(x, dtype=float)
-        w = self.sym_weights
-        return w[:, 0] * x[self.sym_nodes[:, 0]] + w[:, 1] * x[self.sym_nodes[:, 1]]
+    @functools.cached_property
+    def sym_map(self):
+        """(pairs x pairs) map, built on first use, from every pair's
+        difference ``x_j - x_i`` to ``x_sym - x_i``, a weighted sum of the
+        differences of i's pairs to the ends of the symmetric point's edge
+        (or to j, one-sided): a constant field maps to exact zeros."""
+        mesh, n = self.mesh, self.mesh.num_nodes
+        keys = mesh.pair_i * n + mesh.pair_j
+        cols = np.searchsorted(keys, mesh.pair_i[:, None] * n + self.sym_nodes)
+        return sp.csr_matrix((self.sym_weights.ravel(), cols.ravel(),
+                              np.arange(0, cols.size + 1, 2)),
+                             shape=(keys.size, keys.size))
 
 
 def _lengths(v):

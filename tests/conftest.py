@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pnpfem import (
+    SymmetricStencil,
     assemble_mass,
     assemble_stiffness,
     build_sym_stencils,
@@ -51,3 +53,25 @@ def square8_ops(square8):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def map_builds(monkeypatch):
+    """Counts of the builds of the run-constant maps ``Mesh.drift_map`` and
+    ``SymmetricStencil.sym_map`` from here on, by name; objects that built
+    theirs before keep them."""
+    counts = {"drift_map": 0, "sym_map": 0}
+
+    def counted(cls, name):
+        build = getattr(cls, name).func
+
+        def wrapper(self):
+            counts[name] += 1
+            return build(self)
+        prop = functools.cached_property(wrapper)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+
+    counted(Mesh, "drift_map")
+    counted(SymmetricStencil, "sym_map")
+    return counts

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from pnpfem import build_sym_stencils, build_unit_square, compute_alpha
+from pnpfem.detector import DENOMINATOR_TOL
 
+import oracles
 from oracles import jump, mean
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +137,62 @@ class TestAlpha:
         for q in (0.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match="'q'"):
                 compute_alpha(np.zeros(mesh.num_nodes), q, mesh, st)
+
+
+class TestJitteredDelaunay:
+    @settings(max_examples=30, deadline=None)
+    @given(n=hs.integers(3, 20), jitter=hs.floats(0.0, 0.35),
+           seed=hs.integers(0, 2**32 - 1),
+           c=hs.floats(-1e6, 1e6, allow_subnormal=False))
+    @example(n=20, jitter=0.3, seed=1, c=7.3)
+    def test_constant_field_is_zero(self, n, jitter, seed, c):
+        """A constant field never fires the detector.  Symmetric-point
+        values formed from nodal values, w1 x_n1 + w2 x_n2, round an ulp
+        away from x_i, and then a constant 7.3 fired it at 335 of the 441
+        nodes of the explicit example; slopes formed from the pairs'
+        differences are exact zeros."""
+        mesh = oracles.jittered_delaunay_mesh(n, jitter, seed)
+        st = build_sym_stencils(mesh)
+        alpha = compute_alpha(np.full(mesh.num_nodes, c), 2.0, mesh, st)
+        assert np.all(alpha == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=hs.integers(3, 10), jitter=hs.floats(0.0, 0.35),
+           seed=hs.integers(0, 2**32 - 1), offset=hs.floats(-100.0, 100.0),
+           q=hs.floats(1.0, 4.0))
+    def test_matches_pair_oracle(self, n, jitter, seed, offset, q):
+        """alpha_i from the per-pair ``jump`` and ``mean`` of the oracle,
+        which evaluates x at the symmetric point from nodal values, while
+        the package sums the pairs' differences.  The two slopes s2 of a
+        pair then differ by at most 8 eps max|x| / r_sym, so with the
+        roundoff of the sums both sums of a node differ by at most err, and
+        its alpha by 2 q err / (den - err), wherever both sides take the
+        same branch of the tolerance."""
+        mesh = oracles.jittered_delaunay_mesh(n, jitter, seed)
+        st = build_sym_stencils(mesh)
+        rng = np.random.default_rng(seed)
+        x = offset + rng.uniform(-1.0, 1.0, size=mesh.num_nodes)
+        x[rng.random(mesh.num_nodes) < 0.2] = offset  # ties between pairs
+        alpha = compute_alpha(x, q, mesh, st)
+        ptr = mesh.pair_ptr
+        for i in range(mesh.num_nodes):
+            pairs = range(ptr[i], ptr[i + 1])
+            num = abs(sum(jump(i, mesh.pair_j[p], x, st) for p in pairs))
+            den = sum(2.0 * mean(i, mesh.pair_j[p], x, st) for p in pairs)
+            err = 16.0 * EPS * (np.abs(x).max()
+                                * np.sum(1.0 / st.r_sym_len[ptr[i]:ptr[i + 1]])
+                                + den)
+            if den > DENOMINATOR_TOL + err:
+                want = min(num / den, 1.0) ** q
+                assert abs(alpha[i] - want) <= 2.0 * q * err / (den - err)
+            elif den + err <= DENOMINATOR_TOL:
+                assert alpha[i] == 0.0
+
+    def test_map_built_once_per_stencil(self, map_builds):
+        mesh = oracles.jittered_delaunay_mesh(6, 0.3, 3)
+        x = np.random.default_rng(3).normal(size=mesh.num_nodes)
+        for st in (build_sym_stencils(mesh), build_sym_stencils(mesh)):
+            first = compute_alpha(x, 2.0, mesh, st)
+            for _ in range(3):
+                assert np.array_equal(compute_alpha(x, 2.0, mesh, st), first)
+        assert map_builds == {"drift_map": 0, "sym_map": 2}

@@ -949,6 +949,18 @@ class TestCoefficientReuse:
         assert calls["sweep"] == iters >= 2
         assert calls["alpha"] == 2 * calls["residual"]
 
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_run_builds_each_map_once(self, algorithm, map_builds):
+        """A run builds the detector's map once, and the drift's once under
+        Alg. 1 and never under Alg. 2, however many iterates it evaluates."""
+        from pnpfem.scenarios import builtin_scenario
+        sc = builtin_scenario("channel_selective", algorithm=algorithm)
+        sc.mesh_spec = ("channel", 0.5)
+        sc.config.T = 3 * sc.config.k
+        result = run(sc)
+        assert sum(r.picard_iters for r in result.reports) > 3
+        assert map_builds == {"drift_map": 2 - algorithm, "sym_map": 1}
+
 
 class TestCarry:
     @pytest.mark.parametrize("where, algorithm", [
