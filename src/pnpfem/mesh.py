@@ -20,8 +20,6 @@ TOP = "top"
 MEMBRANE = "membrane"
 OTHER_BOUNDARY = "other_boundary"
 
-BOUNDARY_TAGS = (BOTTOM, TOP, MEMBRANE, OTHER_BOUNDARY)
-
 ACUTENESS_TOL = 1e-14
 
 

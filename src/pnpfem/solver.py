@@ -417,14 +417,6 @@ def _admissible(z, bounds):
     return bool(z.min() >= lo - DMP_TOL and z.max() <= hi + DMP_TOL)
 
 
-def _stack(p, n):
-    return np.concatenate([p, n])
-
-
-def _unstack(z, n_nodes):
-    return z[:n_nodes], z[n_nodes:]
-
-
 class _StepContext:
     """One time step's per-iterate systems A(z) z = b(z), z = (p, n).
 
@@ -444,12 +436,12 @@ class _StepContext:
         K = asm.stiffness.data
         if config.algorithm == 1:
             self._A_base = asm.mass.data * (1.0 / k) + K
-            self._b_old = tuple(asm.mesh.matvec(asm.mass.data, x) / k
-                                for x in (state.p, state.n))
+            self._b_old = [asm.mesh.matvec(asm.mass.data, x) / k
+                           for x in (state.p, state.n)]
         else:
             self._A_base = K.copy()
             self._A_base[asm.mesh.diag_slots] += asm.d * (1.0 / k)
-            self._b_old = (asm.d * state.p / k, asm.d * state.n / k)
+            self._b_old = [asm.d * x / k for x in (state.p, state.n)]
             self._kij = K[asm.mesh.edge_slots]
         # a pinned cation row takes its value from c alone
         self._b_old[0][asm.p_fixed] = 0.0
@@ -470,66 +462,69 @@ class _StepContext:
         the cation sign, and pinned cation rows are identity rows of A with
         their values in c.
 
-        Returns (A_p, c_p, A_n, c_n), each A the values of its matrix on
+        Returns [(A_p, c_p), (A_n, c_n)], each A the values of its matrix on
         the mesh's P1 pattern.
         """
         asm, cfg, k = self.asm, self.config, self.k
         mesh, K, fns = asm.mesh, asm.stiffness, asm.fns
-        a_p = compute_alpha(p, cfg.q, mesh, asm.stencil)
-        a_n = compute_alpha(n, cfg.q, mesh, asm.stencil)
         if cfg.algorithm == 1:
             G = assemble_drift(mesh, phi)
-            Bp = build_stabilizer_alg1(+1, k, a_p, mesh, asm.mass, K, G)
-            Bn = build_stabilizer_alg1(-1, k, a_n, mesh, asm.mass, K, G)
-            A_p = self._A_base + G.data + Bp.values
-            A_n = self._A_base - G.data + Bn.values
-            c_p, c_n = np.zeros(mesh.num_nodes), np.zeros(mesh.num_nodes)
         else:
             # the potential's edge drive, shared by both species
             s = (phi[mesh.edge_j] - phi[mesh.edge_i]) * self._kij
-            species = []
-            for sign, x, alpha in ((+1, p, a_p), (-1, n, a_n)):
-                e = Alg2Edges(x, s, self._kij, fns, mesh)
-                B = build_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh,
-                                          edges=e)
-                T, Tx = transport_matrix(sign, e, B.weights)
-                v = star_transport_vector(x, phi, fns, K, mesh, edges=e)
-                species.append((self._A_base + B.values + sign * T,
-                                -sign * (v - Tx)))
-            (A_p, c_p), (A_n, c_n) = species
+
+        # one species' system: a function frees its temporaries before the
+        # next species is built, where a loop body would hold them
+        def system(sign, x):
+            alpha = compute_alpha(x, cfg.q, mesh, asm.stencil)
+            if cfg.algorithm == 1:
+                B = build_stabilizer_alg1(sign, k, alpha, mesh, asm.mass, K, G)
+                return ((self._A_base + G.data if sign > 0
+                         else self._A_base - G.data) + B.values,
+                        np.zeros(mesh.num_nodes))
+            e = Alg2Edges(x, s, self._kij, fns, mesh)
+            B = build_stabilizer_alg2(sign, x, phi, alpha, fns, K, mesh,
+                                      edges=e)
+            T, Tx = transport_matrix(sign, e, B.weights)
+            v = star_transport_vector(x, phi, fns, K, mesh, edges=e)
+            return self._A_base + B.values + sign * T, -sign * (v - Tx)
+
+        systems = [system(sign, x) for sign, x in ((+1, p), (-1, n))]
         if asm.p_fixed.size:
-            A_p = asm.pin_p_rows(A_p)
+            A_p, c_p = systems[0]
+            asm.pin_p_rows(A_p)
             c_p[asm.p_fixed] = asm.p_fixed_values
-        return A_p, c_p, A_n, c_n
+        return systems
 
     def residual_parts(self, z, built=None):
         """(res, r, systems, built) at the stacked iterate z = (p, n).
 
         ``built`` is (phi, part): phi solved from p - n and ``iterate_part``
         at (p, n, phi), or the ``built`` of this same iterate when one is
-        given, as a carry is.  ``systems`` is (A_p, b_p, A_n, b_n), and r =
-        A(z) z - b(z), with max norm res, vanishes only at a fixed point."""
+        given, as a carry is.  ``systems`` is [(A_p, b_p), (A_n, b_n)], and
+        r = A(z) z - b(z), stacked as z is, with max norm res, vanishes only
+        at a fixed point."""
         mesh = self.asm.mesh
-        p, n = _unstack(z, mesh.num_nodes)
+        p, n = xs = z.reshape(2, -1)
         if built is None:
             phi = self.asm.poisson.solve(p - n)
             built = phi, self.iterate_part(p, n, phi)
-        A_p, c_p, A_n, c_n = built[1]
-        b_p, b_n = self._b_old[0] + c_p, self._b_old[1] + c_n
-        r = _stack(mesh.matvec(A_p, p) - b_p, mesh.matvec(A_n, n) - b_n)
-        return float(np.abs(r).max()), r, (A_p, b_p, A_n, b_n), built
+        systems = [(A, b_old + c)
+                   for (A, c), b_old in zip(built[1], self._b_old)]
+        r = np.concatenate([mesh.matvec(A, x) - b
+                            for (A, b), x in zip(systems, xs)])
+        return float(np.abs(r).max()), r, systems, built
 
     def linearized_solve(self, systems, z, r):
         """One block sweep from the iterate z: the stacked solutions of
-        exactly ``systems``, as ``residual_parts`` returned them at z with
-        their residual r.  Each density solve starts from z's values of its
-        species, with the matching half of r as its start's residual."""
-        A_p, b_p, A_n, b_n = systems
-        n_nodes = self.asm.mesh.num_nodes
-        (p, n), (r_p, r_n) = _unstack(z, n_nodes), _unstack(r, n_nodes)
-        lu_p, lu_n = self.asm.density_factors
-        return _stack(lu_p.solve(A_p, b_p, p, r_p),
-                      lu_n.solve(A_n, b_n, n, r_n))
+        exactly ``systems``, the [(A, b)] pairs that ``residual_parts``
+        returned at z with their residual r.  Each species' solve keeps its
+        own factor and starts from z's values of that species, with the
+        matching half of r as its start's residual."""
+        return np.concatenate([
+            lu.solve(A, b, x, r_x) for lu, (A, b), x, r_x in zip(
+                self.asm.density_factors, systems, z.reshape(2, -1),
+                r.reshape(2, -1))])
 
 
 def _picard_step(state, config, asm, bounds=None, carry=None):
@@ -561,7 +556,7 @@ def _picard_step(state, config, asm, bounds=None, carry=None):
     map that diverges.
     """
     ctx = _StepContext(state, config, asm)
-    z = _stack(state.p, state.n)
+    z = np.concatenate([state.p, state.n])
     carried = (carry[1] if carry is not None and np.array_equal(carry[0], z)
                else None)
     res, r, systems, built = ctx.residual_parts(z, carried)
@@ -585,8 +580,7 @@ def _picard_step(state, config, asm, bounds=None, carry=None):
         history.append(res)
         if res <= config.picard_residual_tol:
             phi, part = built
-            new_state = State(*_unstack(z, asm.mesh.num_nodes), phi,
-                              state.t + config.k)
+            new_state = State(*z.reshape(2, -1), phi, state.t + config.k)
             return new_state, it, history, (z.copy(), (phi.copy(), part))
     raise StepError(f"fixed-point loop failed at t={state.t + config.k:g}: "
                     f"residual {history[-1]:g} after {it} iterations, "

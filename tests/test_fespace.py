@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnpfem import (
@@ -137,7 +137,10 @@ class TestDriftOnJitteredDelaunay:
     G sums A_e/3 grad lambda_a . grad lambda_c phi_c over the elements at
     the entry, and each term is at most max|K_ij| max|phi| / 3 in size.
     Over 40 meshes the drift and the oracle differed by at most 1.6
-    units."""
+    units.  A product that underflows errs by up to the smallest subnormal
+    number instead, in absolute terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, sec. 2.1), so each unit bound adds
+    one of those."""
 
     ROUNDOFF_UNITS = 16.0
 
@@ -145,6 +148,7 @@ class TestDriftOnJitteredDelaunay:
     @given(n=st.integers(3, 12), jitter=st.floats(0.0, 0.35),
            seed=st.integers(0, 2**32 - 1), size=st.floats(-3.0, 3.0),
            a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0))
+    @example(n=3, jitter=0.0, seed=0, size=0.0, a=0.0, b=5e-324)
     def test_matches_oracle_and_is_linear(self, n, jitter, seed, size, a,
                                           b):
         mesh = oracles.jittered_delaunay_mesh(n, jitter, seed)
@@ -152,13 +156,15 @@ class TestDriftOnJitteredDelaunay:
         phi, psi = 10.0**size * rng.uniform(-1.0, 1.0,
                                             size=(2, mesh.num_nodes))
         unit = np.finfo(float).eps * abs(assemble_stiffness(mesh)).max()
+        tiny = np.finfo(float).smallest_subnormal
         G = assemble_drift(mesh, phi)
         assert (abs(G - oracles.coo_drift(mesh, phi)).max()
-                <= self.ROUNDOFF_UNITS * unit * np.abs(phi).max())
+                <= self.ROUNDOFF_UNITS * (unit * np.abs(phi).max() + tiny))
         combined = assemble_drift(mesh, a * phi + b * psi)
         assert (abs(combined - (a * G + b * assemble_drift(mesh, psi))).max()
-                <= self.ROUNDOFF_UNITS * unit
-                * (np.abs(a * phi) + np.abs(b * psi)).max())
+                <= self.ROUNDOFF_UNITS * (unit * (np.abs(a * phi)
+                                                  + np.abs(b * psi)).max()
+                                          + tiny))
 
     def test_map_built_once_per_mesh(self, map_builds, rng):
         meshes = [oracles.jittered_delaunay_mesh(6, 0.3, 4) for _ in range(2)]

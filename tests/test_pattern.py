@@ -325,7 +325,7 @@ def test_pinned_row_systems(algorithm):
     k = 0.01
     config = SolverConfig(algorithm=algorithm, k=k)
     ctx = _StepContext(State(p, n, phi, 0.0), config, asm)
-    _, _, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(
+    _, _, ((A_p, b_p), (A_n, b_n)), _ = ctx.residual_parts(
         np.concatenate([p, n]), (phi, ctx.iterate_part(p, n, phi)))
 
     M, K = asm.mass, asm.stiffness
@@ -388,7 +388,7 @@ def test_residual_matches_term_by_term_oracle(algorithm, where):
     config = SolverConfig(algorithm=algorithm, k=0.01)
     ctx = _StepContext(State(p_old, n_old, np.zeros(mesh.num_nodes), 0.0),
                        config, asm)
-    _, r, (A_p, b_p, A_n, b_n), (phi, _) = ctx.residual_parts(
+    _, r, ((A_p, b_p), (A_n, b_n)), (phi, _) = ctx.residual_parts(
         np.concatenate([p, n]))
     # the returned systems are the ones the residual was taken on
     assert np.array_equal(r, np.concatenate([mesh.csr(A_p) @ p - b_p,
@@ -423,7 +423,7 @@ def test_systems_wrap_only_drift(monkeypatch, algorithm, wrapped):
     csr = Mesh.csr
     monkeypatch.setattr(Mesh, "csr",
                         lambda self, data: calls.append(1) or csr(self, data))
-    A_p, _, A_n, _ = ctx.iterate_part(p, n, phi)
+    (A_p, _), (A_n, _) = ctx.iterate_part(p, n, phi)
     assert len(calls) == wrapped
     for A in (A_p, A_n):
         assert type(A) is np.ndarray and A.shape == (mesh.pattern_nnz,)

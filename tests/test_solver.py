@@ -27,7 +27,8 @@ from pnpfem import diagnostics
 from pnpfem.fespace import assemble_stiffness, lumped_mass_vector
 from pnpfem.mesh import BOTTOM, INTERIOR, OTHER_BOUNDARY, TOP, Mesh
 from pnpfem.scenarios import (
-    builtin_scenario, scenario_from_config, smooth_n0, smooth_p0)
+    builtin_scenario, scenario_from_config, smooth_n0, smooth_p0, wave_n0,
+    wave_p0)
 from pnpfem.solver import (
     ANDERSON_DEPTH,
     DMP_TOL,
@@ -410,7 +411,7 @@ class TestRun:
             res, r, systems, built = residual_parts(ctx, z, built)
             if len(steps) > 2:
                 ptr = ctx.asm.mesh.pattern_indptr
-                systems[2][ptr[5]:ptr[6]] = 0.0
+                systems[1][0][ptr[5]:ptr[6]] = 0.0
             return res, r, systems, built
 
         monkeypatch.setattr(solver._StepContext, "residual_parts",
@@ -711,6 +712,28 @@ class TestSolvePlan:
         assert np.array_equal(lu.perm_r, np.arange(mesh.num_nodes))
         assert lu.nnz == 1814
 
+    def test_plan_keeps_the_ordering_with_less_fill(self):
+        # neither ordering wins everywhere: the plan's factor of the
+        # pattern's structure has the smaller fill of the two, and the
+        # square and the channel that the benchmark factors pick different
+        # ones
+        import scipy.sparse.linalg as spla
+        picked = []
+        for mesh in (build_unit_square(16), build_channel(0.25)):
+            plan = SolvePlan(mesh)
+            data = np.full(mesh.pattern_nnz, -1.0)
+            data[mesh.diag_slots] = np.diff(mesh.pattern_indptr)
+            structure = mesh.csr(data).tocsc()
+            fills = {}
+            for spec in SolvePlan._ORDERINGS:
+                lu = spla.splu(structure, permc_spec=spec,
+                               options=SolvePlan._OPTIONS)
+                fills[spec] = lu.nnz
+                if np.array_equal(np.argsort(lu.perm_c), plan.perm):
+                    picked.append(spec)
+            assert plan.factor(data).nnz == min(fills.values())
+        assert len(picked) == 2 and picked[0] != picked[1]
+
 
 def density_systems(where, algorithm, k=1e-3):
     """The assemblies, a step context and the state of the first step of
@@ -773,8 +796,8 @@ class TestLaggedFactor:
         lagged = LaggedFactor(asm.solve_plan)
         kept = None
         for j in range(6):
-            A, b, _, _ = start_systems(ctx, state,
-                                       (1.0 + 0.02 * j) * state.phi)
+            (A, b), _ = start_systems(ctx, state,
+                                      (1.0 + 0.02 * j) * state.phi)
             x = lagged.solve(A, b)
             assert oracles.check_solve(asm.mesh, A, x, b, "density") is x
             # the corrections stop at LINEAR_TOL, not at the gate
@@ -787,10 +810,10 @@ class TestLaggedFactor:
     @pytest.mark.parametrize("far", ["opposite drift", "k x 100"])
     def test_far_matrix_refactors(self, far, monkeypatch):
         _, asm, ctx, state, _ = density_systems("square", 1)
-        A, b, A_n, b_n = start_systems(ctx, state)
+        (A, b), (A_n, b_n) = start_systems(ctx, state)
         if far == "k x 100":
             _, _, far_ctx, _, _ = density_systems("square", 1, k=0.1)
-            A_n, b_n, _, _ = start_systems(far_ctx, state)
+            (A_n, b_n), _ = start_systems(far_ctx, state)
         lagged = LaggedFactor(asm.solve_plan)
         lagged.solve(A, b)
         kept = lagged.lu
@@ -805,7 +828,7 @@ class TestLaggedFactor:
         # backward error: the first correction refactors, and the remaining
         # budget is not spent
         _, asm, ctx, state, _ = density_systems("square", 1)
-        A, b, _, _ = start_systems(ctx, state)
+        (A, b), _ = start_systems(ctx, state)
         lagged = LaggedFactor(asm.solve_plan)
         lagged.solve(A, b)
         counted = Counted(monkeypatch)
@@ -820,7 +843,7 @@ class TestLaggedFactor:
         # factor's start is -x0 and its correction 3 x0, which the error
         # refuses as well; the new factor restarts from x0
         _, asm, ctx, state, _ = density_systems("square", 1)
-        A, b, _, _ = start_systems(ctx, state)
+        (A, b), _ = start_systems(ctx, state)
         lagged = LaggedFactor(asm.solve_plan)
         x0 = lagged.solve(A, b)
         kept = lagged.lu
@@ -836,8 +859,8 @@ class TestLaggedFactor:
         # solution itself: the start's own solve is the only one
         _, asm, ctx, state, _ = density_systems("square", 1)
         lagged = LaggedFactor(asm.solve_plan)
-        lagged.solve(*start_systems(ctx, state, 1.02 * state.phi)[:2])
-        A, b, _, _ = start_systems(ctx, state)
+        lagged.solve(*start_systems(ctx, state, 1.02 * state.phi)[0])
+        (A, b), _ = start_systems(ctx, state)
         x0 = oracles.direct_solve(asm.solve_plan, A, b)
         lagged.lu = counted = CountedLU(lagged.lu)
         x = lagged.solve(A, b, x0, asm.mesh.matvec(A, x0) - b)
@@ -857,7 +880,7 @@ class TestLaggedFactor:
         systems = [start_systems(ctx, state, (1.0 + 0.05 * j) * state.phi)
                    for j in range(4)] + [start_systems(far_ctx, state)]
         factors = []
-        for A, b, _, _ in systems:
+        for (A, b), _ in systems:
             x = warm.solve(A, b)
             assert np.array_equal(x, oracles.cold_lagged_solve(cold, A, b))
             factors.append(warm.lu)
@@ -867,7 +890,7 @@ class TestLaggedFactor:
     @pytest.mark.parametrize("kept", [False, True])
     def test_singular_matrix_raises_with_or_without_kept_factor(self, kept):
         _, asm, ctx, state, _ = density_systems("square", 1)
-        A, b, _, _ = start_systems(ctx, state)
+        (A, b), _ = start_systems(ctx, state)
         lagged = LaggedFactor(asm.solve_plan)
         if kept:
             lagged.solve(A, b)
@@ -977,9 +1000,9 @@ class TestCarry:
         assert np.array_equal(carried[0], new.phi)
         assert carried[0] is not new.phi  # its own copy
         ctx = _StepContext(new, sc.config, asm)
-        res, r, (A_p, b_p, A_n, b_n), (phi, _) = ctx.residual_parts(z)
-        c_res, c_r, (cA_p, cb_p, cA_n, cb_n), c_built = ctx.residual_parts(
-            z, carried)
+        res, r, ((A_p, b_p), (A_n, b_n)), (phi, _) = ctx.residual_parts(z)
+        c_res, c_r, ((cA_p, cb_p), (cA_n, cb_n)), c_built = (
+            ctx.residual_parts(z, carried))
         assert c_built is carried
         assert res == c_res
         for fresh, kept in ((phi, carried[0]), (A_p.data, cA_p.data),
@@ -1058,6 +1081,47 @@ class TestCarry:
         for field in ("p", "n", "phi"):
             assert np.array_equal(getattr(carried_state, field),
                                   getattr(fresh_state, field))
+
+
+class TestSpeciesSwap:
+    # (mesh, potential data, k, steps): the pure-Neumann square, and the
+    # channel with the +-50 drop of channel_wave
+    CASES = {
+        "square": (("square", 16), {}, 1e-3, 5),
+        "channel": (("channel", 0.25), {BOTTOM: -50.0, TOP: 50.0}, 1e-2, 10),
+    }
+
+    @pytest.mark.parametrize("where", sorted(CASES))
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_swapped_species_give_the_mirrored_run(self, algorithm, where):
+        """The two densities obey one equation with opposite charge signs:
+        the run from (n0, p0) with the potential data -g is the run from
+        (p0, n0) with g, with p and n swapped and phi negated, taking the
+        same Picard iterations at every step.  The two runs' arithmetic
+        differs only in roundoff, and each step is solved to a residual of
+        picard_residual_tol, so the states must agree to that tolerance."""
+        mesh_spec, g, k, steps = self.CASES[where]
+        data = ((smooth_p0, smooth_n0) if where == "square"
+                else (wave_p0, wave_n0))
+        config = SolverConfig(algorithm=algorithm, k=k, T=steps * k)
+
+        def result(sign):
+            first, second = data[::sign]
+            return run(Scenario(
+                "swap", mesh_spec, (first, second, "nodal"),
+                BoundarySpec(phi_dirichlet={tag: sign * value
+                                            for tag, value in g.items()}),
+                config))
+
+        ref, swapped = result(+1), result(-1)
+        assert len(ref.reports) == steps
+        assert ([rep.picard_iters for rep in swapped.reports]
+                == [rep.picard_iters for rep in ref.reports])
+        tol = config.picard_residual_tol
+        for mirrored, field in ((swapped.state.n, ref.state.p),
+                                (swapped.state.p, ref.state.n),
+                                (-swapped.state.phi, ref.state.phi)):
+            assert np.abs(mirrored - field).max() <= tol
 
 
 class TestAnderson:

@@ -352,7 +352,7 @@ class TestUpwindTransport:
         phi = field * rng.normal(size=N)
         ctx = _StepContext(State(p_old, n_old, phi, 0.0),
                            SolverConfig(algorithm=2, k=k), asm)
-        _, _, (A_p, b_p, A_n, b_n), _ = ctx.residual_parts(
+        _, _, ((A_p, b_p), (A_n, b_n)), _ = ctx.residual_parts(
             np.concatenate([p, n]), (phi, ctx.iterate_part(p, n, phi)))
         a_p = compute_alpha(p, 2.0, mesh, asm.stencil)
         a_n = compute_alpha(n, 2.0, mesh, asm.stencil)
@@ -425,7 +425,7 @@ class TestUpwindTransport:
 
         def recorded(self, *args):
             part = build(self, *args)
-            for A in part[::2]:
+            for A, _ in part:
                 off = A.copy()
                 off[mesh.diag_slots] = -np.inf
                 largest.append(off.max())
@@ -467,7 +467,7 @@ class TestSaturatedAlg1Systems:
         # alpha = 0 leaves the systems unstabilized
         monkeypatch.setattr(solver, "compute_alpha",
                             lambda x, *args: np.zeros(N))
-        bare_p, _, bare_n, _ = ctx.iterate_part(p, n, phi)
+        (bare_p, _), (bare_n, _) = ctx.iterate_part(p, n, phi)
         couplings, build = [], stabilizer._stabilizer
 
         def recorded(alpha, f_ij, f_ji, mesh):
@@ -477,7 +477,7 @@ class TestSaturatedAlg1Systems:
         monkeypatch.setattr(stabilizer, "_stabilizer", recorded)
         monkeypatch.setattr(solver, "compute_alpha",
                             lambda x, *args: np.ones(N))
-        A_p, _, A_n, _ = ctx.iterate_part(p, n, phi)
+        (A_p, _), (A_n, _) = ctx.iterate_part(p, n, phi)
         assert len(couplings) == 2
         for A, bare, (f_ij, f_ji) in zip((A_p, A_n), (bare_p, bare_n),
                                          couplings):
