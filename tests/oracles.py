@@ -487,9 +487,12 @@ def loop_transport_matrix(sign, x, phi, stabilizer, stiffness, fns, mesh):
         step = 1.0
         for at_up, at_jac in ((sign * up[1], sign * jac[1]),
                               (-sign * up[0], -sign * jac[0])):
-            bound = max(off + at_up, 0.0)
+            # the room bound - upwind is 0 or -upwind, exact in floats, so
+            # roundoff cannot turn it, and the step, negative
+            upwind = off + at_up
+            bound = max(upwind, 0.0)
             if off + at_jac > bound:
-                step = min(step, (bound - off - at_up) / (at_jac - at_up))
+                step = min(step, (bound - upwind) / (at_jac - at_up))
         c_i, c_j = (u + step * (v - u) for u, v in zip(up, jac))
         T[i, i] += c_i
         T[i, j] += c_j

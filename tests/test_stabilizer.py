@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnpfem import (
@@ -335,6 +335,8 @@ class TestUpwindTransport:
     @given(n=st.integers(3, 10), jitter=st.floats(0.0, 0.35),
            seed=st.integers(0, 2**32 - 1), field=st.floats(0.1, 100.0),
            k=st.floats(1e-3, 1.0))
+    # a nearly cocircular edge whose K_ij is roundoff
+    @example(n=4, jitter=1e-14, seed=138, field=1.0, k=1.0)
     def test_split_on_jittered_delaunay(self, n, jitter, seed, field, k):
         """The transport matrix T of each species, stepped from the upwind
         one toward the Jacobian: every off-diagonal of A is at most
